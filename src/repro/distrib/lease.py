@@ -30,18 +30,13 @@ written atomically, so the worst a bad clock causes is duplicate
 execution of identical work (see :mod:`repro.distrib`).
 
 Every time-dependent primitive takes an injectable ``clock`` (a
-zero-argument callable returning seconds, default ``time.time``), so
-expiry behavior is testable with a logical clock instead of real
-sleeps — the lease tests advance a fake clock past the TTL rather than
-waiting it out. The one-shot primitives also keep their older ``now``
-parameter for point-in-time queries; an explicit ``now`` always wins
-and the ``clock`` is consulted only when ``now`` is ``None`` (the
-:class:`Heartbeat` thread is the one consumer that genuinely needs the
-callable — it re-reads the time on every renewal).
+zero-argument callable returning seconds, default ``time.time``) as its
+only time source, so expiry behavior is testable with a logical clock
+instead of real sleeps — the lease tests advance a fake clock past the
+TTL rather than waiting it out.
 
-Cell addresses: every primitive accepts either a run-directory path
-(the historical filesystem API) or a :class:`repro.runs.transport.RunNode`
-— the distributed layer passes nodes so one worker binary serves both
+Cell addresses: every primitive takes a
+:class:`repro.runs.transport.RunNode`, so one worker binary serves both
 transports.
 """
 
@@ -52,26 +47,11 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from ..runs.registry import LEASE_FILENAME
-from ..runs.transport import FsTransport, RunNode
+from ..runs.transport import RunNode
 from .clock import Clock
-
-#: A cell address: a run directory (filesystem) or a transport node.
-CellRef = "str | Path | RunNode"
-
-
-def _as_node(run_dir: "str | Path | RunNode") -> RunNode:
-    if isinstance(run_dir, RunNode):
-        return run_dir
-    return RunNode(FsTransport(Path(run_dir)), "")
-
-
-def lease_path(run_dir: str | Path) -> Path:
-    """Where the lease for one run directory lives (filesystem form)."""
-    return Path(run_dir) / LEASE_FILENAME
 
 
 @dataclass(frozen=True)
@@ -92,17 +72,13 @@ class LeaseInfo:
     #: When the owning worker started (its clock), for throughput rates.
     started_at: float | None = None
 
-    def age(
-        self, now: float | None = None, clock: Clock = time.time
-    ) -> float:
+    def age(self, clock: Clock = time.time) -> float:
         """Seconds since the last heartbeat."""
-        return (clock() if now is None else now) - self.heartbeat
+        return clock() - self.heartbeat
 
-    def is_expired(
-        self, now: float | None = None, clock: Clock = time.time
-    ) -> bool:
+    def is_expired(self, clock: Clock = time.time) -> bool:
         """Whether the owner has missed its heartbeat by more than TTL."""
-        return self.age(now, clock) > self.ttl
+        return self.age(clock) > self.ttl
 
 
 @dataclass
@@ -121,12 +97,6 @@ class Lease:
     #: renewals compare-and-swap against it, so a steal between two of
     #: our writes surfaces as a failed renewal, never a silent clobber.
     version: str | None = None
-
-    @property
-    def path(self) -> Path | None:
-        """Filesystem location of the lease, when the transport has one."""
-        local = self.node.local_path
-        return None if local is None else local / LEASE_FILENAME
 
 
 def _encode(
@@ -173,24 +143,23 @@ def _decode(text: str) -> LeaseInfo | None:
         return None
 
 
-def read_lease(run_dir: "str | Path | RunNode") -> LeaseInfo | None:
+def read_lease(node: RunNode) -> LeaseInfo | None:
     """The current lease on a cell, or ``None`` when free.
 
     A half-disappeared or unparsable lease (lost a race with a release,
     or a writer died mid-crash long ago) reads as free — claimants will
     then race through single-winner creation, which stays atomic.
     """
-    text = _as_node(run_dir).read_text(LEASE_FILENAME)
+    text = node.read_text(LEASE_FILENAME)
     if text is None:
         return None
     return _decode(text)
 
 
 def try_acquire_lease(
-    run_dir: "str | Path | RunNode",
+    node: RunNode,
     owner: str,
     ttl: float,
-    now: float | None = None,
     clock: Clock = time.time,
 ) -> Lease | None:
     """Claim a cell; ``None`` if it is validly held.
@@ -203,15 +172,13 @@ def try_acquire_lease(
     the acquisition/expiry timestamps (tests inject a logical clock so
     TTL expiry needs no real sleeping).
     """
-    node = _as_node(run_dir)
     node.ensure()
-    now = clock() if now is None else now
     lease = Lease(
         node=node,
         owner=owner,
         nonce=uuid.uuid4().hex,
         ttl=float(ttl),
-        acquired_at=now,
+        acquired_at=clock(),
     )
     body = _encode(lease, heartbeat=lease.acquired_at)
     version = node.create_if_absent(LEASE_FILENAME, body)
@@ -229,7 +196,7 @@ def try_acquire_lease(
         return lease
     text, observed = current
     info = _decode(text)
-    if info is not None and not info.is_expired(now):
+    if info is not None and not info.is_expired(clock):
         return None
     # Expired — or unparsable garbage that would block the cell forever.
     if not node.delete_if_match(LEASE_FILENAME, observed):
@@ -244,7 +211,6 @@ def try_acquire_lease(
 
 def renew_lease(
     lease: Lease,
-    now: float | None = None,
     clock: Clock = time.time,
     extra: dict | None = None,
 ) -> bool:
@@ -265,8 +231,7 @@ def renew_lease(
     """
     if lease.version is None:
         return False
-    now = clock() if now is None else now
-    body = _encode(lease, heartbeat=now, extra=extra)
+    body = _encode(lease, heartbeat=clock(), extra=extra)
     version = lease.node.put_if_match(LEASE_FILENAME, body, lease.version)
     if version is None:
         return False
@@ -281,11 +246,7 @@ def release_lease(lease: Lease) -> bool:
     return lease.node.delete_if_match(LEASE_FILENAME, lease.version)
 
 
-def break_expired_lease(
-    run_dir: "str | Path | RunNode",
-    now: float | None = None,
-    clock: Clock = time.time,
-) -> bool:
+def break_expired_lease(node: RunNode, clock: Clock = time.time) -> bool:
     """Coordinator-side reclaim: remove an expired lease outright.
 
     Workers steal expired leases on their own; a coordinator sweeping
@@ -293,13 +254,12 @@ def break_expired_lease(
     every surviving worker is busy elsewhere. True when a lease was
     broken.
     """
-    node = _as_node(run_dir)
     current = node.read_with_version(LEASE_FILENAME)
     if current is None:
         return False
     text, observed = current
     info = _decode(text)
-    if info is None or not info.is_expired(now, clock):
+    if info is None or not info.is_expired(clock):
         return False
     return node.delete_if_match(LEASE_FILENAME, observed)
 

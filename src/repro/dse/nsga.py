@@ -23,6 +23,7 @@ from ..cost.objective import Metric
 from ..cost.evaluator import Evaluator
 from ..errors import SearchError
 from ..ga.crossover import crossover
+from ..ga.engine import RngState
 from ..ga.genome import Genome
 from ..ga.mutation import merge_subgraph, modify_node, mutate_dse, split_subgraph
 from ..ga.population import initialize_population
@@ -104,12 +105,12 @@ class NSGACheckpoint:
     """
 
     generation: int
-    rng_state: tuple
+    rng_state: RngState
     evaluations: int
     reference: tuple[float, float]
     history: list[tuple[int, float]]
-    points: list["MultiObjectivePoint"]
     archive: list["MultiObjectivePoint"]
+    points: list["MultiObjectivePoint"]
 
 
 #: Called after every evaluated generation with the search's checkpoint.

@@ -89,6 +89,10 @@ class GAResult:
     samples: list[SampleRecord] = field(default_factory=list)
 
 
+#: ``random.Random.getstate()``: (version, Mersenne Twister words, gauss_next).
+RngState = tuple[int, tuple[int, ...], float | None]
+
+
 @dataclass
 class EngineCheckpoint:
     """Complete search state after one generation.
@@ -105,7 +109,7 @@ class EngineCheckpoint:
     """
 
     generation: int
-    rng_state: tuple
+    rng_state: RngState
     evaluations: int
     best_genome: Genome | None
     best_cost: float

@@ -13,9 +13,9 @@ set and reports every source→sink flow with the full call chain, so the
 finding reads as a story::
 
     RL101 [error] nondeterministic value (rng) reaches checkpoint
-    serializer ga_checkpoint_to_dict() via: repro.util.ids.fresh_token
+    serializer checkpoint_to_dict() via: repro.util.ids.fresh_token
     (src/.../ids.py:12): random.random() draws ... -> ... -> passes it
-    to checkpoint serializer ga_checkpoint_to_dict()
+    to checkpoint serializer checkpoint_to_dict()
 
 Findings anchor at the call site where the tainted value meets the
 sink-reaching call, which is where the fix goes.

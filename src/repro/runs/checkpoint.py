@@ -1,28 +1,37 @@
-"""JSON serialization of engine checkpoints for the run registry.
+"""JSON codec for search checkpoints (the registry's ``checkpoint.json``).
 
-:class:`~repro.ga.engine.EngineCheckpoint` and
-:class:`~repro.dse.nsga.NSGACheckpoint` are in-memory snapshots; this
-module round-trips them through plain JSON-able dicts so a run directory
-can hold a durable ``checkpoint.json``. Genomes are serialized
-*structurally* (layer -> subgraph assignment plus the memory
-configuration) and rebuilt against the resuming process's graph object,
-so a checkpoint written by one process resumes in another even though
-:class:`~repro.partition.partition.Partition` equality is tied to graph
-identity. Every float survives the round trip exactly (Python's JSON
-encoder emits shortest round-trip reprs), which is what keeps resumed
-runs bit-identical to uninterrupted ones.
+One codec serves every searcher's checkpoint dataclass: it walks
+``dataclasses.fields`` and derives each field's JSON form from its type
+annotation, once per class. Lists and tuples become arrays (tuples come
+back as tuples), nested dataclasses become objects, and a nested
+checkpoint becomes a sub-document with its own ``format``/``kind``
+header, so a field added to a checkpoint class round-trips without
+touching this module. :data:`_LAYOUTS` holds what annotations cannot
+say about the v1 format.
+
+Genomes are serialized *structurally* (layer -> subgraph assignment plus
+the memory configuration) and rebuilt against the resuming process's
+graph object, so a checkpoint written by one process resumes in another
+even though :class:`~repro.partition.partition.Partition` equality is
+tied to graph identity. Every float survives the round trip exactly
+(Python's JSON encoder emits shortest round-trip reprs), which is what
+keeps resumed runs bit-identical to uninterrupted ones.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import dataclasses
+import types
+import typing
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from ..config import BufferMode, MemoryConfig
 from ..dse.nsga import MultiObjectivePoint, NSGACheckpoint
 from ..dse.two_step import TwoStepCheckpoint
 from ..errors import ConfigError
 from ..ga.annealing import SACheckpoint
-from ..ga.engine import EngineCheckpoint, SampleRecord
+from ..ga.engine import EngineCheckpoint
 from ..ga.genome import Genome
 from ..ga.islands import IslandsCheckpoint
 from ..graphs.graph import ComputationGraph
@@ -30,9 +39,15 @@ from ..partition.partition import Partition
 
 _FORMAT_VERSION = 1
 
+#: One value to its JSON form.
+Encode = Callable[[Any], Any]
+#: One JSON form back to its value, against the resuming graph.
+Decode = Callable[[Any, ComputationGraph], Any]
+Codec = tuple[Encode, Decode]
+
 
 # ---------------------------------------------------------------------------
-# Building blocks
+# Leaves
 # ---------------------------------------------------------------------------
 def memory_to_dict(memory: MemoryConfig) -> dict[str, Any]:
     if memory.mode is BufferMode.SHARED:
@@ -64,349 +79,214 @@ def genome_from_dict(data: dict[str, Any], graph: ComputationGraph) -> Genome:
     )
 
 
-def _rng_state_to_json(state: tuple) -> list:
-    # random.Random.getstate(): (version, tuple-of-ints, gauss_next)
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
+_LEAVES: dict[Any, Codec] = {
+    Genome: (genome_to_dict, genome_from_dict),
+    MemoryConfig: (memory_to_dict, lambda data, graph: memory_from_dict(data)),
+}
 
-
-def _rng_state_from_json(data: list) -> tuple:
-    version, internal, gauss_next = data
-    return (version, tuple(internal), gauss_next)
-
-
-def _sample_to_dict(record: SampleRecord) -> dict[str, Any]:
-    return {
-        "index": record.index,
-        "cost": record.cost,
-        "total_buffer_bytes": record.total_buffer_bytes,
-        "generation": record.generation,
-    }
-
-
-def _sample_from_dict(data: dict[str, Any]) -> SampleRecord:
-    return SampleRecord(
-        index=data["index"],
-        cost=data["cost"],
-        total_buffer_bytes=data["total_buffer_bytes"],
-        generation=data["generation"],
-    )
-
-
-def _check_format(data: dict[str, Any], kind: str) -> None:
-    if data.get("format") != _FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint format {data.get('format')!r}"
-        )
-    if data.get("kind") != kind:
-        raise ConfigError(
-            f"checkpoint is a {data.get('kind')!r} snapshot, expected {kind!r}"
-        )
+_SCALARS = (int, float, str, bool)
 
 
 # ---------------------------------------------------------------------------
-# GeneticEngine checkpoints
+# The per-class table: what annotations cannot say
 # ---------------------------------------------------------------------------
-def ga_checkpoint_to_dict(checkpoint: EngineCheckpoint) -> dict[str, Any]:
-    """Serialize an :class:`EngineCheckpoint` to a JSON-able dict."""
-    return {
-        "format": _FORMAT_VERSION,
-        "kind": "ga",
-        "generation": checkpoint.generation,
-        "rng_state": _rng_state_to_json(checkpoint.rng_state),
-        "evaluations": checkpoint.evaluations,
-        "best": (
-            genome_to_dict(checkpoint.best_genome)
-            if checkpoint.best_genome is not None
-            else None
-        ),
-        "best_cost": checkpoint.best_cost,
-        "history": [list(entry) for entry in checkpoint.history],
-        "samples": [_sample_to_dict(s) for s in checkpoint.samples],
-        "population": [genome_to_dict(g) for g in checkpoint.population],
-        "costs": list(checkpoint.costs),
-    }
+def _nsga_points_to_json(checkpoint: NSGACheckpoint) -> list[Any]:
+    """The population as indices into the archive (genomes stored once).
 
-
-def ga_checkpoint_from_dict(
-    data: dict[str, Any], graph: ComputationGraph
-) -> EngineCheckpoint:
-    """Rebuild an :class:`EngineCheckpoint` against ``graph``."""
-    _check_format(data, "ga")
-    return EngineCheckpoint(
-        generation=data["generation"],
-        rng_state=_rng_state_from_json(data["rng_state"]),
-        evaluations=data["evaluations"],
-        best_genome=(
-            genome_from_dict(data["best"], graph)
-            if data["best"] is not None
-            else None
-        ),
-        best_cost=data["best_cost"],
-        history=[(entry[0], entry[1]) for entry in data["history"]],
-        samples=[_sample_from_dict(s) for s in data["samples"]],
-        population=[genome_from_dict(g, graph) for g in data["population"]],
-        costs=list(data["costs"]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Island-model checkpoints
-# ---------------------------------------------------------------------------
-def islands_checkpoint_to_dict(checkpoint: IslandsCheckpoint) -> dict[str, Any]:
-    """Serialize an :class:`IslandsCheckpoint` to a JSON-able dict.
-
-    The per-island engine states nest as ordinary ``kind="ga"``
-    sub-documents, so one serializer round-trips both levels. The
-    top-level ``evaluations`` field is the global count — the budget
-    scheduler probes it without understanding the composite.
+    Identity lookup covers the live-engine case; a checkpoint that was
+    itself round-tripped holds equal-but-distinct objects, so those
+    points are inlined.
     """
-    return {
-        "format": _FORMAT_VERSION,
-        "kind": "islands",
-        "epoch": checkpoint.epoch,
-        "island": checkpoint.island,
-        "evaluations": checkpoint.evaluations,
-        "islands": [
-            ga_checkpoint_to_dict(state) for state in checkpoint.islands
-        ],
-        "populations": [
-            [genome_to_dict(g) for g in population]
-            for population in checkpoint.populations
-        ],
-        "migration_rng_state": _rng_state_to_json(
-            checkpoint.migration_rng_state
-        ),
-        "history": [list(entry) for entry in checkpoint.history],
-        "best": (
-            genome_to_dict(checkpoint.best_genome)
-            if checkpoint.best_genome is not None
-            else None
-        ),
-        "best_cost": checkpoint.best_cost,
-    }
-
-
-def islands_checkpoint_from_dict(
-    data: dict[str, Any], graph: ComputationGraph
-) -> IslandsCheckpoint:
-    """Rebuild an :class:`IslandsCheckpoint` against ``graph``."""
-    _check_format(data, "islands")
-    return IslandsCheckpoint(
-        epoch=data["epoch"],
-        island=data["island"],
-        islands=[
-            ga_checkpoint_from_dict(state, graph) for state in data["islands"]
-        ],
-        populations=[
-            [genome_from_dict(g, graph) for g in population]
-            for population in data["populations"]
-        ],
-        migration_rng_state=_rng_state_from_json(data["migration_rng_state"]),
-        history=[(entry[0], entry[1]) for entry in data["history"]],
-        best_genome=(
-            genome_from_dict(data["best"], graph)
-            if data["best"] is not None
-            else None
-        ),
-        best_cost=data["best_cost"],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Two-step checkpoints
-# ---------------------------------------------------------------------------
-#: The kinds a two-step snapshot may carry: the generic tag plus the
-#: suite scheme names (the suite stamps ``rs``/``gs`` so a registry
-#: directory is self-describing about which scheme wrote it).
-TWO_STEP_KINDS = ("two_step", "rs", "gs")
-
-
-def two_step_checkpoint_to_dict(
-    checkpoint: TwoStepCheckpoint, kind: str = "two_step"
-) -> dict[str, Any]:
-    """Serialize a :class:`TwoStepCheckpoint` to a JSON-able dict.
-
-    The cursor candidate's engine state nests as a ``kind="ga"``
-    sub-document; the capacity-candidate list is pinned so a resume
-    against a drifted space fails loudly. ``evaluations`` at top level
-    is the cumulative count the budget scheduler probes.
-    """
-    if kind not in TWO_STEP_KINDS:
-        raise ConfigError(f"unknown two-step checkpoint kind {kind!r}")
-    return {
-        "format": _FORMAT_VERSION,
-        "kind": kind,
-        "method": checkpoint.method,
-        "candidate": checkpoint.candidate,
-        "evaluations": checkpoint.evaluations,
-        "cumulative": checkpoint.cumulative,
-        "engine": ga_checkpoint_to_dict(checkpoint.engine),
-        "candidates": [memory_to_dict(m) for m in checkpoint.candidates],
-        "running_best": checkpoint.running_best,
-        "history": [list(entry) for entry in checkpoint.history],
-        "samples": [_sample_to_dict(s) for s in checkpoint.samples],
-        "best_index": checkpoint.best_index,
-        "best": (
-            genome_to_dict(checkpoint.best_genome)
-            if checkpoint.best_genome is not None
-            else None
-        ),
-        "best_cost": checkpoint.best_cost,
-    }
-
-
-def two_step_checkpoint_from_dict(
-    data: dict[str, Any], graph: ComputationGraph, kind: str | None = None
-) -> TwoStepCheckpoint:
-    """Rebuild a :class:`TwoStepCheckpoint` against ``graph``.
-
-    ``kind`` (when given) must match the stored kind exactly; otherwise
-    any of :data:`TWO_STEP_KINDS` is accepted.
-    """
-    if kind is not None:
-        _check_format(data, kind)
-    elif data.get("kind") not in TWO_STEP_KINDS:
-        raise ConfigError(
-            f"checkpoint is a {data.get('kind')!r} snapshot, expected one "
-            f"of {TWO_STEP_KINDS}"
-        )
-    elif data.get("format") != _FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint format {data.get('format')!r}"
-        )
-    return TwoStepCheckpoint(
-        method=data["method"],
-        candidate=data["candidate"],
-        engine=ga_checkpoint_from_dict(data["engine"], graph),
-        cumulative=data["cumulative"],
-        candidates=[memory_from_dict(m) for m in data["candidates"]],
-        running_best=data["running_best"],
-        history=[(entry[0], entry[1]) for entry in data["history"]],
-        samples=[_sample_from_dict(s) for s in data["samples"]],
-        best_index=data["best_index"],
-        best_genome=(
-            genome_from_dict(data["best"], graph)
-            if data["best"] is not None
-            else None
-        ),
-        best_cost=data["best_cost"],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Simulated-annealing checkpoints
-# ---------------------------------------------------------------------------
-def sa_checkpoint_to_dict(checkpoint: SACheckpoint) -> dict[str, Any]:
-    """Serialize an :class:`SACheckpoint` to a JSON-able dict.
-
-    The temperature and cooling factor are stored verbatim (JSON floats
-    round-trip exactly): the cooling schedule derives from the *initial*
-    cost, which a resuming process never re-evaluates, and recomputing
-    ``t_start * cooling**step`` would drift in the last bits.
-    """
-    return {
-        "format": _FORMAT_VERSION,
-        "kind": "sa",
-        "step": checkpoint.step,
-        "temperature": checkpoint.temperature,
-        "cooling": checkpoint.cooling,
-        "rng_state": _rng_state_to_json(checkpoint.rng_state),
-        "evaluations": checkpoint.evaluations,
-        "current": genome_to_dict(checkpoint.current_genome),
-        "current_cost": checkpoint.current_cost,
-        "best": genome_to_dict(checkpoint.best_genome),
-        "best_cost": checkpoint.best_cost,
-        "history": [list(entry) for entry in checkpoint.history],
-        "samples": [_sample_to_dict(s) for s in checkpoint.samples],
-    }
-
-
-def sa_checkpoint_from_dict(
-    data: dict[str, Any], graph: ComputationGraph
-) -> SACheckpoint:
-    """Rebuild an :class:`SACheckpoint` against ``graph``."""
-    _check_format(data, "sa")
-    return SACheckpoint(
-        step=data["step"],
-        temperature=data["temperature"],
-        cooling=data["cooling"],
-        rng_state=_rng_state_from_json(data["rng_state"]),
-        evaluations=data["evaluations"],
-        current_genome=genome_from_dict(data["current"], graph),
-        current_cost=data["current_cost"],
-        best_genome=genome_from_dict(data["best"], graph),
-        best_cost=data["best_cost"],
-        history=[(entry[0], entry[1]) for entry in data["history"]],
-        samples=[_sample_from_dict(s) for s in data["samples"]],
-    )
-
-
-# ---------------------------------------------------------------------------
-# NSGA-II checkpoints
-# ---------------------------------------------------------------------------
-def _point_to_dict(point: MultiObjectivePoint) -> dict[str, Any]:
-    return {
-        "genome": genome_to_dict(point.genome),
-        "capacity_bytes": point.capacity_bytes,
-        "metric_cost": point.metric_cost,
-    }
-
-
-def _point_from_dict(
-    data: dict[str, Any], graph: ComputationGraph
-) -> MultiObjectivePoint:
-    return MultiObjectivePoint(
-        genome=genome_from_dict(data["genome"], graph),
-        capacity_bytes=data["capacity_bytes"],
-        metric_cost=data["metric_cost"],
-    )
-
-
-def nsga_checkpoint_to_dict(checkpoint: NSGACheckpoint) -> dict[str, Any]:
-    """Serialize an :class:`NSGACheckpoint` to a JSON-able dict.
-
-    The current population is stored as indices into the archive (every
-    evaluated point lives there), so genomes are serialized once.
-    """
+    encode_point = _codec(MultiObjectivePoint)[0]
     index_of = {id(point): i for i, point in enumerate(checkpoint.archive)}
     points: list[Any] = []
     for point in checkpoint.points:
         slot = index_of.get(id(point))
-        # Identity lookup covers the live-engine case; a checkpoint that
-        # was itself round-tripped holds equal-but-distinct objects, so
-        # fall back to inlining the point.
-        points.append(slot if slot is not None else _point_to_dict(point))
-    return {
-        "format": _FORMAT_VERSION,
-        "kind": "nsga",
-        "generation": checkpoint.generation,
-        "rng_state": _rng_state_to_json(checkpoint.rng_state),
-        "evaluations": checkpoint.evaluations,
-        "reference": list(checkpoint.reference),
-        "history": [list(entry) for entry in checkpoint.history],
-        "archive": [_point_to_dict(p) for p in checkpoint.archive],
-        "points": points,
-    }
+        points.append(slot if slot is not None else encode_point(point))
+    return points
 
 
-def nsga_checkpoint_from_dict(
-    data: dict[str, Any], graph: ComputationGraph
-) -> NSGACheckpoint:
-    """Rebuild an :class:`NSGACheckpoint` against ``graph``."""
-    _check_format(data, "nsga")
-    archive = [_point_from_dict(p, graph) for p in data["archive"]]
-    points = [
-        archive[entry] if isinstance(entry, int)
-        else _point_from_dict(entry, graph)
-        for entry in data["points"]
+def _nsga_points_from_json(
+    data: list[Any], graph: ComputationGraph, fields: dict[str, Any]
+) -> list[MultiObjectivePoint]:
+    decode_point = _codec(MultiObjectivePoint)[1]
+    archive = fields["archive"]
+    return [
+        archive[entry] if isinstance(entry, int) else decode_point(entry, graph)
+        for entry in data
     ]
-    return NSGACheckpoint(
-        generation=data["generation"],
-        rng_state=_rng_state_from_json(data["rng_state"]),
-        evaluations=data["evaluations"],
-        reference=(data["reference"][0], data["reference"][1]),
-        history=[(entry[0], entry[1]) for entry in data["history"]],
-        points=points,
-        archive=archive,
-    )
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """One checkpoint class's JSON header and special fields."""
+
+    #: Accepted ``kind`` tags; the first is the default stamp. Two-step
+    #: snapshots also accept the suite scheme names, so a registry
+    #: directory is self-describing about which scheme wrote it.
+    kinds: tuple[str, ...]
+    #: Read-only properties written at top level and ignored on load,
+    #: each placed before the named field: the budget scheduler probes a
+    #: composite's ``evaluations`` without understanding the composite.
+    derived: dict[str, str] = field(default_factory=dict)
+    #: Fields encoded from the whole checkpoint and decoded after every
+    #: plain field: ``(encode(checkpoint), decode(data, graph, fields))``.
+    custom: dict[str, tuple[Callable, Callable]] = field(default_factory=dict)
+
+
+_LAYOUTS: dict[type, _Layout] = {
+    EngineCheckpoint: _Layout(kinds=("ga",)),
+    SACheckpoint: _Layout(kinds=("sa",)),
+    IslandsCheckpoint: _Layout(kinds=("islands",), derived={"evaluations": "islands"}),
+    TwoStepCheckpoint: _Layout(
+        kinds=("two_step", "rs", "gs"), derived={"evaluations": "cumulative"}
+    ),
+    NSGACheckpoint: _Layout(
+        kinds=("nsga",),
+        custom={"points": (_nsga_points_to_json, _nsga_points_from_json)},
+    ),
+}
+
+_CLASS_OF_KIND = {
+    kind: cls for cls, layout in _LAYOUTS.items() for kind in layout.kinds
+}
+
+#: The v1 JSON names of genome fields.
+_RENAMES = {"best_genome": "best", "current_genome": "current"}
+
+
+# ---------------------------------------------------------------------------
+# Codec construction (once per type)
+# ---------------------------------------------------------------------------
+#: The codec of values that are their own JSON form.
+_IDENTITY: Codec = (lambda value: value, lambda data, graph: data)
+
+_CODECS: dict[Any, Codec] = {}
+
+
+def _codec(tp: Any) -> Codec:
+    """``(encode, decode)`` for values annotated ``tp``, built once."""
+    if tp not in _CODECS:
+        _CODECS[tp] = _build(tp)
+    return _CODECS[tp]
+
+
+def _build(tp: Any) -> Codec:
+    if tp in _LEAVES:
+        return _LEAVES[tp]
+    if tp in _SCALARS:
+        return _IDENTITY
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_codec(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        sub = _codec(inner)
+        if sub is _IDENTITY:
+            return _IDENTITY
+        enc, dec = sub
+        return (
+            lambda v: None if v is None else enc(v),
+            lambda d, g: None if d is None else dec(d, g),
+        )
+    if origin is list or (origin is tuple and args[-1:] == (Ellipsis,)):
+        build = list if origin is list else tuple
+        sub = _codec(args[0])
+        if sub is _IDENTITY:
+            return list, lambda d, g: build(d)
+        enc, dec = sub
+        return (
+            lambda v: [enc(x) for x in v],
+            lambda d, g: build(dec(x, g) for x in d),
+        )
+    if origin is tuple:
+        parts = [_codec(arg) for arg in args]
+        if all(part is _IDENTITY for part in parts):
+            return list, lambda d, g: tuple(d)
+        return (
+            lambda v: [enc(x) for (enc, _), x in zip(parts, v)],
+            lambda d, g: tuple(dec(x, g) for (_, dec), x in zip(parts, d)),
+        )
+    raise TypeError(f"no checkpoint codec for {tp!r}")
+
+
+def _check_header(data: dict[str, Any], kinds: tuple[str, ...]) -> None:
+    if data.get("format") != _FORMAT_VERSION:
+        raise ConfigError(f"unsupported checkpoint format {data.get('format')!r}")
+    if data.get("kind") not in kinds:
+        raise ConfigError(
+            f"checkpoint is a {data.get('kind')!r} snapshot, expected "
+            + " or ".join(repr(kind) for kind in kinds)
+        )
+
+
+def _dataclass_codec(cls: type) -> Codec:
+    layout = _LAYOUTS.get(cls)
+    custom = layout.custom if layout is not None else {}
+    before = {} if layout is None else {f: p for p, f in layout.derived.items()}
+    hints = typing.get_type_hints(cls)
+    keys = {f.name: _RENAMES.get(f.name, f.name) for f in dataclasses.fields(cls)}
+    plain = {name: _codec(hints[name]) for name in keys if name not in custom}
+
+    def encode(obj: Any) -> dict[str, Any]:
+        out: dict[str, Any] = {}
+        if layout is not None:
+            out["format"] = _FORMAT_VERSION
+            out["kind"] = layout.kinds[0]
+        for name, key in keys.items():
+            if name in before:
+                out[before[name]] = getattr(obj, before[name])
+            if name in custom:
+                out[key] = custom[name][0](obj)
+            else:
+                out[key] = plain[name][0](getattr(obj, name))
+        return out
+
+    def decode(data: dict[str, Any], graph: ComputationGraph) -> Any:
+        if layout is not None:
+            _check_header(data, layout.kinds)
+        values = {
+            name: dec(data[keys[name]], graph) for name, (_, dec) in plain.items()
+        }
+        for name, (_, dec) in custom.items():
+            values[name] = dec(data[keys[name]], graph, values)
+        return cls(**values)
+
+    return encode, decode
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+def checkpoint_to_dict(checkpoint: Any, kind: str | None = None) -> dict[str, Any]:
+    """Serialize any search checkpoint to a JSON-able dict.
+
+    ``kind`` overrides the class's default stamp with one of its
+    accepted tags (the suite stamps two-step snapshots ``rs``/``gs``).
+    """
+    layout = _LAYOUTS.get(type(checkpoint))
+    if layout is None:
+        raise ConfigError(f"not a checkpoint: {type(checkpoint).__name__}")
+    if kind is not None and kind not in layout.kinds:
+        raise ConfigError(f"a {type(checkpoint).__name__} cannot be stamped {kind!r}")
+    data = _codec(type(checkpoint))[0](checkpoint)
+    if kind is not None:
+        data["kind"] = kind
+    return data
+
+
+def checkpoint_from_dict(
+    data: dict[str, Any], graph: ComputationGraph, kind: str | None = None
+) -> Any:
+    """Rebuild a checkpoint against ``graph``; its class follows ``kind``.
+
+    ``kind`` (when given) must match the stored stamp exactly; otherwise
+    any known stamp is accepted.
+    """
+    found = data.get("kind")
+    if kind is not None and found != kind:
+        raise ConfigError(f"checkpoint is a {found!r} snapshot, expected {kind!r}")
+    cls = _CLASS_OF_KIND.get(found)
+    if cls is None:
+        raise ConfigError(f"unknown checkpoint kind {found!r}")
+    return _codec(cls)[1](data, graph)

@@ -29,15 +29,13 @@ registries and raise/return ``None`` for remote ones.
 from __future__ import annotations
 
 import json
-import os
-import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import ConfigError
 from .seeds import stable_digest
-from .transport import FsTransport, RegistryTransport, RunNode, resolve_transport
+from .transport import RegistryTransport, RunNode, resolve_transport
 
 _CONFIG = "config.json"
 _HISTORY = "history.jsonl"
@@ -63,53 +61,25 @@ def config_hash(config: dict[str, Any]) -> str:
     return stable_digest(canonical)[:_HASH_CHARS]
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write via a same-directory temp file + rename (atomic on POSIX).
-
-    The temp name is unique per writer: concurrent writers to the same
-    target (two workers legitimately dual-executing one cell after a
-    lease-expiry race) must each complete their own rename instead of
-    colliding on a shared ``.tmp`` — last atomic rename wins, and both
-    contents are identical because cell execution is deterministic.
-
-    Kept for *local* artifacts (campaign reports, metrics snapshots);
-    registry-internal writes go through the transport, whose
-    ``FsTransport.write_atomic`` is this exact idiom.
-    """
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 @dataclass
 class RunHandle:
     """One run's keyspace slice, with streaming and completion primitives.
 
-    ``path`` is the run directory for filesystem registries and ``None``
-    for remote transports; all methods operate through :attr:`node`.
-    Constructing a handle from a bare directory path (the historical
-    signature) still works — it wraps the directory in a filesystem
-    node.
+    All methods operate through :attr:`node`.
     """
 
-    path: Path | None
+    node: RunNode
     config: dict[str, Any]
-    node: RunNode | None = field(default=None)
 
-    def __post_init__(self) -> None:
-        if self.node is None:
-            if self.path is None:
-                raise ConfigError("RunHandle needs a path or a node")
-            self.node = RunNode(FsTransport(Path(self.path)), "")
-        elif self.path is None:
-            self.path = self.node.local_path
+    @property
+    def path(self) -> Path | None:
+        """The run directory for filesystem registries, else ``None``."""
+        return self.node.local_path
 
     @property
     def name(self) -> str:
         """The run's registry key (config hash + seed)."""
-        if self.node is not None and self.node.name:
-            return self.node.name
-        return self.path.name if self.path is not None else ""
+        return self.node.name
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -125,13 +95,6 @@ class RunHandle:
     def has_error(self) -> bool:
         """Whether a deterministic failure has been durably recorded."""
         return self.node.exists(_ERROR)
-
-    @property
-    def lease_path(self) -> Path:
-        """Where this run's distributed-execution lease lives (fs only)."""
-        if self.path is None:
-            raise ConfigError(f"run {self.name} has no local lease path")
-        return self.path / _LEASE
 
     # -- streaming ------------------------------------------------------
     def log_history(self, entry: dict[str, Any]) -> None:
@@ -266,7 +229,7 @@ class RunRegistry:
         return node.exists(_ERROR) and not node.exists(_RESULT)
 
     def _handle(self, node: RunNode, config: dict[str, Any]) -> RunHandle:
-        return RunHandle(path=node.local_path, config=dict(config), node=node)
+        return RunHandle(node=node, config=dict(config))
 
     def open_run(self, config: dict[str, Any], seed: int) -> RunHandle:
         """Create (or re-open) the run slice and persist its config.

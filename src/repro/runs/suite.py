@@ -17,12 +17,15 @@ RunRegistry`:
 * a completed cell writes ``result.json`` atomically, so a restarted
   campaign re-runs only incomplete cells, and the merged report of a
   killed-and-resumed campaign is bit-identical to an uninterrupted one;
-* every search scheme streams step-keyed history into the registry and
-  persists mid-run checkpoints — GA/NSGA per generation, SA per step
-  chunk, the island model per island generation (a composite of every
-  island's engine state), the two-step schemes per inner-GA generation
-  (with a candidate cursor) — so an interrupted cell of *any* kind
-  resumes mid-search instead of restarting;
+* one cell runner drives every search scheme from the
+  :data:`CELL_SCHEMES` table: it loads the checkpoint, checks the
+  sample cap, truncates replayed history, streams tick-keyed history
+  and checkpoints from the searcher's hook, and writes the result row.
+  Checkpoints come per GA/NSGA generation, per SA step chunk, per
+  island generation (a composite of every island's engine state) and
+  per inner-GA generation of the two-step schemes (with a candidate
+  cursor), so an interrupted cell of *any* kind resumes mid-search
+  instead of restarting;
 * a worker killed mid-cell (OOM, segfault) breaks its pool: the runner
   rebuilds the backend and retries the cells that have no durable
   result — a killed cell is never recorded as complete.
@@ -38,7 +41,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from concurrent.futures.process import BrokenProcessPool
 
@@ -47,13 +50,14 @@ from ..cost.evaluator import Evaluator
 from ..cost.objective import Metric
 from ..dse import two_step as two_step_mod
 from ..dse.nsga import NSGAConfig, nsga2_co_optimize
+from ..dse.results import DSEResult
 from ..dse.two_step import grid_search_ga, random_search_ga
 from ..errors import ConfigError, ReproError
 from ..experiments.common import SCALES, Scale, paper_accelerator
 from ..experiments.reporting import ExperimentResult
 from ..ga import islands as islands_mod
 from ..ga.annealing import simulated_annealing
-from ..ga.engine import GeneticEngine
+from ..ga.engine import GAResult, GeneticEngine
 from ..ga.islands import island_search
 from ..ga.problem import OptimizationProblem
 from ..graphs.zoo import get_model
@@ -61,22 +65,10 @@ from ..obs import TELEMETRY_FILENAME, TelemetrySink, activate, emit
 from ..parallel.backend import EvaluationBackend, resolve_backend
 from ..search_space import CapacitySpace
 from ..units import to_kb, to_mb
-from .checkpoint import (
-    ga_checkpoint_from_dict,
-    ga_checkpoint_to_dict,
-    islands_checkpoint_from_dict,
-    islands_checkpoint_to_dict,
-    nsga_checkpoint_from_dict,
-    nsga_checkpoint_to_dict,
-    sa_checkpoint_from_dict,
-    sa_checkpoint_to_dict,
-    two_step_checkpoint_from_dict,
-    two_step_checkpoint_to_dict,
-)
+from .checkpoint import checkpoint_from_dict, checkpoint_to_dict
 from .registry import RunRegistry
 from .seeds import derive_seed
 
-SCHEMES = ("cocco", "rs", "gs", "sa", "nsga", "islands")
 MODES = ("separate", "shared")
 METRICS = ("ema", "energy")
 
@@ -212,16 +204,6 @@ def _stream_cost(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _metric(name: str) -> Metric:
-    return Metric.EMA if name == "ema" else Metric.ENERGY
-
-
-def _space(mode: str) -> CapacitySpace:
-    if mode == "shared":
-        return CapacitySpace.paper_shared()
-    return CapacitySpace.paper_separate()
-
-
 def cell_accelerator(cell: SuiteCell) -> AcceleratorConfig:
     """The cell's platform: the paper core at the cell's element width."""
     return replace(
@@ -229,372 +211,297 @@ def cell_accelerator(cell: SuiteCell) -> AcceleratorConfig:
     )
 
 
-def _run_cocco_cell(
-    cell: SuiteCell,
-    seed: int,
-    evaluator: Evaluator,
-    scale: Scale,
-    run,
-    sample_cap: int | None = None,
-    eval_workers: int | None = None,
-) -> tuple[dict[str, Any], bool]:
-    """Co-opt GA with streamed history + generation-level resume.
+@dataclass(frozen=True)
+class _Job:
+    """What one cell's search call needs: its inputs and search config."""
 
-    Equivalent to ``cocco_co_optimize(..., refine=False)`` but drives
-    the engine directly so an interrupted cell continues from its
-    ``checkpoint.json`` bit-identically instead of starting over.
+    cell: SuiteCell
+    seed: int
+    evaluator: Evaluator
+    scale: Scale
+    config: Any
 
-    ``sample_cap`` (when set) bounds the cell's cumulative evaluation
-    count through ``GAConfig.max_samples`` — the engine stops exactly at
-    the cap. A cell that hits the cap before finishing its generations
-    returns ``finished=False`` with its checkpoint left in place; a
-    later call with a higher cap resumes the same trajectory.
-    """
-    metric = _metric(cell.metric)
-    problem = OptimizationProblem(
-        evaluator=evaluator, metric=metric, alpha=cell.alpha,
-        space=_space(cell.mode),
-    )
-    overrides: dict[str, Any] = {}
-    if sample_cap is not None:
-        overrides["max_samples"] = sample_cap
-    if eval_workers is not None:
-        overrides["workers"] = eval_workers
-    config = scale.co_opt_ga_config(seed=seed, **overrides)
-    engine = GeneticEngine(problem, config)
-    last_generation = -1
+    @property
+    def metric(self) -> Metric:
+        return Metric.EMA if self.cell.metric == "ema" else Metric.ENERGY
 
-    def hook(checkpoint) -> None:
-        nonlocal last_generation
-        last_generation = checkpoint.generation
-        entry = {
-            "generation": checkpoint.generation,
-            "evaluations": checkpoint.evaluations,
-            "best_cost": _stream_cost(checkpoint.best_cost),
-        }
-        run.log_history(entry)
-        emit("progress", scheme="cocco", **entry)
-        run.save_checkpoint(ga_checkpoint_to_dict(checkpoint))
+    @property
+    def space(self) -> CapacitySpace:
+        if self.cell.mode == "shared":
+            return CapacitySpace.paper_shared()
+        return CapacitySpace.paper_separate()
 
-    state = run.load_checkpoint()
-    if state is not None:
-        checkpoint = ga_checkpoint_from_dict(state, evaluator.graph)
-        last_generation = checkpoint.generation
-        if (
-            sample_cap is not None
-            and checkpoint.evaluations >= sample_cap
-            and checkpoint.generation < config.generations
-        ):
-            # Already at (or past) this cap: nothing to do until the
-            # budget scheduler grants more.
-            return {"num_evaluations": checkpoint.evaluations}, False
-        run.truncate_history(checkpoint.generation)
-        result = engine.resume(checkpoint, on_generation=hook)
-    else:
-        result = engine.run(on_generation=hook)
-
-    finished = sample_cap is None or last_generation >= config.generations
-    if not finished:
-        return {"num_evaluations": result.num_evaluations}, False
-    _, partition_cost = problem.evaluate(result.best_genome)
-    return {
-        "best_cost": result.best_cost,
-        "memory": result.best_genome.memory,
-        "partition_cost": partition_cost,
-        "num_evaluations": result.num_evaluations,
-    }, True
+    def problem(self) -> OptimizationProblem:
+        return OptimizationProblem(
+            evaluator=self.evaluator,
+            metric=self.metric,
+            alpha=self.cell.alpha,
+            space=self.space,
+        )
 
 
-def _run_sa_cell(
-    cell: SuiteCell,
-    seed: int,
-    evaluator: Evaluator,
-    scale: Scale,
-    run,
-    sample_cap: int | None = None,
-) -> tuple[dict[str, Any], bool]:
-    """SA cell with streamed history + step-level checkpoint resume.
+def _search_ga(job: _Job, hook, resume_from, cap: int | None) -> GAResult:
+    # The engine stops exactly at the cap through GAConfig.max_samples.
+    config = job.config if cap is None else replace(job.config, max_samples=cap)
+    engine = GeneticEngine(job.problem(), config)
+    if resume_from is None:
+        return engine.run(on_generation=hook)
+    return engine.resume(resume_from, on_generation=hook)
 
-    The chain state is tiny — (current genome, temperature, step, RNG
-    state) — so every ``checkpoint_interval`` steps the whole search is
-    snapshotted; an interrupted cell replays at most the steps since the
-    last snapshot, bit-identically. ``sample_cap`` bounds cumulative
-    evaluations exactly (the chain stops mid-schedule and resumes when
-    the budget scheduler grants more).
-    """
-    metric = _metric(cell.metric)
-    problem = OptimizationProblem(
-        evaluator=evaluator, metric=metric, alpha=cell.alpha,
-        space=_space(cell.mode),
-    )
-    config = scale.co_opt_sa_config(seed=seed)
-    last_step = -1
 
-    def hook(checkpoint) -> None:
-        nonlocal last_step
-        last_step = checkpoint.step
-        entry = {
-            "step": checkpoint.step,
-            "evaluations": checkpoint.evaluations,
-            "best_cost": _stream_cost(checkpoint.best_cost),
-        }
-        run.log_history(entry)
-        emit("progress", scheme="sa", **entry)
-        run.save_checkpoint(sa_checkpoint_to_dict(checkpoint))
-
-    state = run.load_checkpoint()
-    resume_from = None
-    if state is not None:
-        resume_from = sa_checkpoint_from_dict(state, evaluator.graph)
-        last_step = resume_from.step
-        if (
-            sample_cap is not None
-            and resume_from.evaluations >= sample_cap
-            and resume_from.step < config.steps
-        ):
-            return {"num_evaluations": resume_from.evaluations}, False
-        run.truncate_history(resume_from.step, key="step")
-    result = simulated_annealing(
-        problem,
-        config,
+def _search_sa(job: _Job, hook, resume_from, cap: int | None) -> GAResult:
+    return simulated_annealing(
+        job.problem(),
+        job.config,
         on_step=hook,
         resume_from=resume_from,
-        max_evaluations=sample_cap,
+        max_evaluations=cap,
     )
 
-    finished = sample_cap is None or last_step >= config.steps
-    if not finished:
-        return {"num_evaluations": result.num_evaluations}, False
-    _, partition_cost = problem.evaluate(result.best_genome)
-    return {
-        "best_cost": result.best_cost,
-        "memory": result.best_genome.memory,
-        "partition_cost": partition_cost,
-        "num_evaluations": result.num_evaluations,
-    }, True
 
-
-def _run_islands_cell(
-    cell: SuiteCell,
-    seed: int,
-    evaluator: Evaluator,
-    scale: Scale,
-    run,
-    sample_cap: int | None = None,
-    eval_workers: int | None = None,
-) -> tuple[dict[str, Any], bool]:
-    """Island-model cell with composite checkpoint resume.
-
-    Every island generation yields an ``IslandsCheckpoint`` (all island
-    engines + migration RNG + epoch/island cursor); an interrupted cell
-    resumes mid-island bit-identically. ``sample_cap`` bounds the
-    *global* evaluation count across islands exactly, so budgeted
-    campaigns stop island cells at their allocation and grow them later.
-    """
-    metric = _metric(cell.metric)
-    problem = OptimizationProblem(
-        evaluator=evaluator, metric=metric, alpha=cell.alpha,
-        space=_space(cell.mode),
-    )
-    overrides: dict[str, Any] = {}
-    if eval_workers is not None:
-        overrides["workers"] = eval_workers
-    config = scale.islands_config(seed=seed, **overrides)
-    last = None
-
-    def hook(checkpoint) -> None:
-        nonlocal last
-        last = checkpoint
-        entry = {
-            "tick": islands_mod.checkpoint_tick(checkpoint, config),
-            "epoch": checkpoint.epoch,
-            "island": checkpoint.island,
-            "generation": checkpoint.generation,
-            "evaluations": checkpoint.evaluations,
-            "best_cost": _stream_cost(checkpoint.best_cost),
-        }
-        run.log_history(entry)
-        emit("progress", scheme="islands", **entry)
-        run.save_checkpoint(islands_checkpoint_to_dict(checkpoint))
-
-    state = run.load_checkpoint()
-    resume_from = None
-    if state is not None:
-        resume_from = islands_checkpoint_from_dict(state, evaluator.graph)
-        last = resume_from
-        if (
-            sample_cap is not None
-            and resume_from.evaluations >= sample_cap
-            and not islands_mod.checkpoint_finished(resume_from, config)
-        ):
-            return {"num_evaluations": resume_from.evaluations}, False
-        run.truncate_history(
-            islands_mod.checkpoint_tick(resume_from, config), key="tick"
-        )
-    result = island_search(
-        problem, config,
-        on_generation=hook, resume_from=resume_from, max_samples=sample_cap,
+def _search_islands(job: _Job, hook, resume_from, cap: int | None) -> GAResult:
+    return island_search(
+        job.problem(),
+        job.config,
+        on_generation=hook,
+        resume_from=resume_from,
+        max_samples=cap,
     )
 
-    finished = sample_cap is None or (
-        last is not None and islands_mod.checkpoint_finished(last, config)
-    )
-    if not finished:
-        return {"num_evaluations": result.num_evaluations}, False
-    _, partition_cost = problem.evaluate(result.best_genome)
-    return {
-        "best_cost": result.best_cost,
-        "memory": result.best_genome.memory,
-        "partition_cost": partition_cost,
-        "num_evaluations": result.num_evaluations,
-    }, True
 
-
-#: NSGA-II checkpoints carry the whole evaluation archive (it grows with
-#: every generation), so persisting one per generation would rewrite
-#: O(generations x archive) JSON. Snapshot every N generations instead;
-#: a resume recomputes at most N-1 generations, still bit-identically.
-_NSGA_CHECKPOINT_EVERY = 5
-
-
-def _run_nsga_cell(
-    cell: SuiteCell,
-    seed: int,
-    evaluator: Evaluator,
-    scale: Scale,
-    run,
-    eval_workers: int | None = None,
-) -> dict[str, Any]:
+def _search_nsga(job: _Job, hook, resume_from, cap: int | None) -> GAResult:
     """NSGA-II frontier run, reported at the cell's alpha."""
-    config = NSGAConfig(
-        population_size=max(4, scale.ga_population),
-        generations=scale.ga_generations,
-        seed=seed,
-        workers=eval_workers if eval_workers is not None else 1,
-    )
-
-    def hook(checkpoint) -> None:
-        entry = {
-            "generation": checkpoint.generation,
-            "evaluations": checkpoint.evaluations,
-        }
-        run.log_history(entry)
-        emit("progress", scheme="nsga", **entry)
-        if checkpoint.generation % _NSGA_CHECKPOINT_EVERY == 0:
-            run.save_checkpoint(nsga_checkpoint_to_dict(checkpoint))
-
-    state = run.load_checkpoint()
-    resume_from = None
-    if state is not None:
-        resume_from = nsga_checkpoint_from_dict(state, evaluator.graph)
-        run.truncate_history(resume_from.generation)
     result = nsga2_co_optimize(
-        evaluator,
-        _space(cell.mode),
-        metric=_metric(cell.metric),
-        config=config,
+        job.evaluator,
+        job.space,
+        metric=job.metric,
+        config=job.config,
         on_generation=hook,
         resume_from=resume_from,
     )
-    point = result.select_by_alpha(cell.alpha)
-    partition_cost = evaluator.evaluate(
-        point.genome.partition.subgraph_sets, point.genome.memory
+    point = result.select_by_alpha(job.cell.alpha)
+    return GAResult(
+        best_genome=point.genome,
+        best_cost=point.formula2(job.cell.alpha),
+        num_evaluations=result.num_evaluations,
     )
-    return {
-        "best_cost": point.formula2(cell.alpha),
-        "memory": point.genome.memory,
-        "partition_cost": partition_cost,
-        "num_evaluations": result.num_evaluations,
-    }
 
 
-def _run_two_step_cell(
+def _search_rs(job: _Job, hook, resume_from, cap: int | None) -> DSEResult:
+    return random_search_ga(
+        job.evaluator,
+        job.space,
+        metric=job.metric,
+        alpha=job.cell.alpha,
+        num_candidates=job.scale.rs_candidates,
+        ga_config=job.config,
+        seed=job.seed,
+        on_checkpoint=hook,
+        resume_from=resume_from,
+        max_evaluations=cap,
+    )
+
+
+def _search_gs(job: _Job, hook, resume_from, cap: int | None) -> DSEResult:
+    return grid_search_ga(
+        job.evaluator,
+        job.space,
+        metric=job.metric,
+        alpha=job.cell.alpha,
+        stride=job.scale.gs_stride,
+        max_candidates=job.scale.gs_max_candidates,
+        ga_config=job.config,
+        on_checkpoint=hook,
+        resume_from=resume_from,
+        max_evaluations=cap,
+    )
+
+
+def _generation(checkpoint, config) -> int:
+    return checkpoint.generation
+
+
+def _last_generation(checkpoint, config) -> bool:
+    return checkpoint.generation >= config.generations
+
+
+@dataclass(frozen=True)
+class CellScheme:
+    """How the one cell runner drives one search scheme.
+
+    Every searcher hands each step's checkpoint (evaluation count,
+    best-so-far) to a hook and can resume from one; an entry names the
+    scheme-specific pieces of that loop.
+    """
+
+    #: ``config(scale, seed=seed, **overrides)`` builds the search
+    #: config; ``overrides`` is ``{"workers": n}`` when the cell fans
+    #: evaluations out, else empty.
+    config: Callable[..., Any]
+    #: ``(job, hook, resume_from, cap) -> result`` with ``best_genome``,
+    #: ``best_cost`` and ``num_evaluations``.
+    search: Callable[..., Any]
+    #: The checkpoint's stamp in ``checkpoint.json``.
+    kind: str
+    #: History lines are keyed (and truncated on resume) by ``tick_key``
+    #: holding ``tick(checkpoint, config)``, which orders snapshots.
+    tick_key: str
+    tick: Callable[[Any, Any], int]
+    #: Checkpoint attributes streamed after the tick, in line order.
+    stream: tuple[str, ...]
+    #: ``finished(checkpoint, config)``: the snapshot is the final state.
+    finished: Callable[[Any, Any], bool]
+    #: Stops exactly at ``sample_cap`` and resumes from its checkpoint;
+    #: an uncapped scheme runs whole, cell-atomically.
+    capped: bool = True
+    #: Persist the checkpoint when ``tick % checkpoint_every == 0``.
+    checkpoint_every: int = 1
+
+
+_STREAM = ("evaluations", "best_cost")
+_TWO_STEP_STREAM = ("candidate", "generation", *_STREAM)
+
+#: Every ``repro suite`` scheme, in CLI order. Adding a searcher to the
+#: campaign runner is one entry here.
+CELL_SCHEMES: dict[str, CellScheme] = {
+    # Equivalent to cocco_co_optimize(..., refine=False), driven through
+    # the engine so generation-level checkpoints resume bit-identically.
+    "cocco": CellScheme(
+        config=Scale.co_opt_ga_config,
+        search=_search_ga,
+        kind="ga",
+        tick_key="generation",
+        tick=_generation,
+        stream=_STREAM,
+        finished=_last_generation,
+    ),
+    "rs": CellScheme(
+        config=Scale.ga_config,
+        search=_search_rs,
+        kind="rs",
+        tick_key="tick",
+        tick=two_step_mod.checkpoint_tick,
+        stream=_TWO_STEP_STREAM,
+        finished=two_step_mod.checkpoint_finished,
+    ),
+    "gs": CellScheme(
+        config=Scale.ga_config,
+        search=_search_gs,
+        kind="gs",
+        tick_key="tick",
+        tick=two_step_mod.checkpoint_tick,
+        stream=_TWO_STEP_STREAM,
+        finished=two_step_mod.checkpoint_finished,
+    ),
+    # SA is serial: its chain has no population to fan out.
+    "sa": CellScheme(
+        config=lambda scale, seed, **overrides: scale.co_opt_sa_config(seed),
+        search=_search_sa,
+        kind="sa",
+        tick_key="step",
+        tick=lambda checkpoint, config: checkpoint.step,
+        stream=_STREAM,
+        finished=lambda checkpoint, config: checkpoint.step >= config.steps,
+    ),
+    # NSGA-II checkpoints carry the whole evaluation archive (it grows
+    # with every generation), so persisting one per generation would
+    # rewrite O(generations x archive) JSON; a resume recomputes at most
+    # checkpoint_every - 1 generations, still bit-identically. Its
+    # archive-deduplicated evaluation count cannot stop exactly
+    # mid-generation, so it runs whole and the budget scheduler charges
+    # its exact count.
+    "nsga": CellScheme(
+        config=lambda scale, seed, **overrides: NSGAConfig(
+            population_size=max(4, scale.ga_population),
+            generations=scale.ga_generations,
+            seed=seed,
+            **overrides,
+        ),
+        search=_search_nsga,
+        kind="nsga",
+        tick_key="generation",
+        tick=_generation,
+        stream=("evaluations",),
+        finished=_last_generation,
+        capped=False,
+        checkpoint_every=5,
+    ),
+    # The cap bounds the *global* evaluation count across islands.
+    "islands": CellScheme(
+        config=Scale.islands_config,
+        search=_search_islands,
+        kind="islands",
+        tick_key="tick",
+        tick=islands_mod.checkpoint_tick,
+        stream=("epoch", "island", "generation", *_STREAM),
+        finished=islands_mod.checkpoint_finished,
+    ),
+}
+
+SCHEMES = tuple(CELL_SCHEMES)
+
+#: Schemes that stop exactly at a sample cap and resume from their
+#: checkpoint; the budget scheduler (:mod:`repro.distrib.budget`) treats
+#: every other scheme as cell-atomic.
+CHECKPOINTABLE_SCHEMES = frozenset(
+    name for name, scheme in CELL_SCHEMES.items() if scheme.capped
+)
+
+
+def _search_cell(
     cell: SuiteCell,
     seed: int,
     evaluator: Evaluator,
-    scale: Scale,
     run,
-    sample_cap: int | None = None,
-    eval_workers: int | None = None,
-) -> tuple[dict[str, Any], bool]:
-    """RS+GA / GS+GA cells with candidate-cursor checkpoint resume.
+    sample_cap: int | None,
+    eval_workers: int | None,
+) -> tuple[int, Any]:
+    """Run (or resume) one cell's search with streamed history.
 
-    Every inner GA generation yields a ``TwoStepCheckpoint`` (candidate
-    cursor + that candidate's engine state + folded telemetry), so an
-    interrupted cell resumes *mid-candidate* instead of from candidate
-    zero. ``sample_cap`` bounds the cumulative evaluation count across
-    candidates exactly — these cells no longer run cell-atomically
-    under ``repro suite --budget``.
+    Returns the cumulative evaluation count and the search result, or
+    ``None`` in its place when the cell stopped at ``sample_cap`` before
+    its final snapshot. Such a cell leaves its checkpoint in place; a
+    later call with a higher cap resumes the same trajectory.
     """
-    metric = _metric(cell.metric)
-    space = _space(cell.mode)
-    overrides: dict[str, Any] = {}
-    if eval_workers is not None:
-        overrides["workers"] = eval_workers
-    ga_config = scale.ga_config(seed=seed, **overrides)
+    scheme = CELL_SCHEMES[cell.scheme]
+    scale = SCALES[cell.scale]
+    cap = sample_cap if scheme.capped else None
+    overrides = {} if eval_workers is None else {"workers": eval_workers}
+    config = scheme.config(scale, seed=seed, **overrides)
+    job = _Job(cell, seed, evaluator, scale, config)
     last = None
 
     def hook(checkpoint) -> None:
         nonlocal last
         last = checkpoint
-        entry = {
-            "tick": two_step_mod.checkpoint_tick(checkpoint, ga_config),
-            "candidate": checkpoint.candidate,
-            "generation": checkpoint.generation,
-            "evaluations": checkpoint.evaluations,
-            "best_cost": _stream_cost(checkpoint.best_cost),
-        }
+        tick = scheme.tick(checkpoint, config)
+        entry = {scheme.tick_key: tick}
+        for name in scheme.stream:
+            entry[name] = _stream_cost(getattr(checkpoint, name))
         run.log_history(entry)
         emit("progress", scheme=cell.scheme, **entry)
-        run.save_checkpoint(
-            two_step_checkpoint_to_dict(checkpoint, kind=cell.scheme)
-        )
+        if tick % scheme.checkpoint_every == 0:
+            run.save_checkpoint(checkpoint_to_dict(checkpoint, kind=scheme.kind))
 
     state = run.load_checkpoint()
     resume_from = None
     if state is not None:
-        resume_from = two_step_checkpoint_from_dict(
-            state, evaluator.graph, kind=cell.scheme
+        resume_from = last = checkpoint_from_dict(
+            state, evaluator.graph, kind=scheme.kind
         )
-        last = resume_from
         if (
-            sample_cap is not None
-            and resume_from.evaluations >= sample_cap
-            and not two_step_mod.checkpoint_finished(resume_from, ga_config)
+            cap is not None
+            and resume_from.evaluations >= cap
+            and not scheme.finished(resume_from, config)
         ):
-            return {"num_evaluations": resume_from.evaluations}, False
-        run.truncate_history(
-            two_step_mod.checkpoint_tick(resume_from, ga_config), key="tick"
-        )
-    if cell.scheme == "rs":
-        dse = random_search_ga(
-            evaluator, space, metric=metric, alpha=cell.alpha,
-            num_candidates=scale.rs_candidates,
-            ga_config=ga_config, seed=seed,
-            on_checkpoint=hook, resume_from=resume_from,
-            max_evaluations=sample_cap,
-        )
-    else:
-        dse = grid_search_ga(
-            evaluator, space, metric=metric, alpha=cell.alpha,
-            stride=scale.gs_stride, max_candidates=scale.gs_max_candidates,
-            ga_config=ga_config,
-            on_checkpoint=hook, resume_from=resume_from,
-            max_evaluations=sample_cap,
-        )
-
-    finished = sample_cap is None or (
-        last is not None
-        and two_step_mod.checkpoint_finished(last, ga_config)
-    )
-    if not finished:
-        return {"num_evaluations": dse.num_evaluations}, False
-    return {
-        "best_cost": dse.best_cost,
-        "memory": dse.memory,
-        "partition_cost": dse.partition_cost,
-        "num_evaluations": dse.num_evaluations,
-    }, True
+            # Already at (or past) this cap: nothing to do until the
+            # budget scheduler grants more.
+            return resume_from.evaluations, None
+        run.truncate_history(scheme.tick(resume_from, config), key=scheme.tick_key)
+    result = scheme.search(job, hook, resume_from, cap)
+    if cap is not None and not (last is not None and scheme.finished(last, config)):
+        return result.num_evaluations, None
+    return result.num_evaluations, result
 
 
 def _maybe_fault(
@@ -634,18 +541,22 @@ def run_cell(
     atomically *after* all search work, so a kill at any point leaves
     the cell incomplete (and resumable), never half-recorded.
 
+    The cell's entry in :data:`CELL_SCHEMES` supplies everything
+    scheme-specific: the search config and call, the checkpoint stamp,
+    the history tick and its key, the ``finished`` predicate, whether
+    the scheme honours ``sample_cap``, and the checkpoint interval.
+
     ``sample_cap`` (from the campaign budget scheduler) bounds the
-    cell's cumulative evaluation count for the checkpoint-resumable
-    schemes (``cocco``, ``sa``, ``islands``, ``rs``, ``gs``); a cell
-    stopped at its cap returns a ``status="exhausted"`` row *without*
-    writing ``result.json`` — it stays resumable and continues when a
-    later call raises the cap. ``nsga`` is the one remaining cell-atomic
-    scheme (its archive-dedup evaluation counting cannot stop exactly
-    mid-generation): it always runs to completion and its exact
-    evaluation count is charged against the budget by the scheduler.
-    ``eval_workers`` fans the cell's *evaluations* out across local
-    worker processes (results are bit-identical for any value — only
-    wall-clock changes).
+    cell's cumulative evaluation count for the capped schemes
+    (:data:`CHECKPOINTABLE_SCHEMES`); a cell stopped at its cap returns
+    a ``status="exhausted"`` row *without* writing ``result.json`` — it
+    stays resumable and continues when a later call raises the cap. An
+    uncapped scheme (``nsga``: its archive-dedup evaluation counting
+    cannot stop exactly mid-generation) always runs to completion and
+    its exact evaluation count is charged against the budget by the
+    scheduler. ``eval_workers`` fans the cell's *evaluations* out across
+    local worker processes (results are bit-identical for any value —
+    only wall-clock changes).
 
     ``telemetry`` (default on) streams structured events — cell
     lifecycle, per-generation progress, evaluator pricing spans — to
@@ -707,7 +618,7 @@ def _execute_cell(
     sample_cap: int | None = None,
     eval_workers: int | None = None,
 ) -> dict[str, Any]:
-    """The scheme dispatch and result persistence of :func:`run_cell`."""
+    """The search and result persistence of :func:`run_cell`."""
     if evaluator is None:
         evaluator = Evaluator(get_model(cell.network), cell_accelerator(cell))
     # Warm-start from the registry's persisted per-(network, element
@@ -718,58 +629,38 @@ def _execute_cell(
     warm = registry.load_warm_summaries(cell.network, cell.bytes_per_element)
     if warm:
         evaluator.absorb_summaries(warm)
-    scale = SCALES[cell.scale]
-    finished = True
-    if cell.scheme == "cocco":
-        outcome, finished = _run_cocco_cell(
-            cell, seed, evaluator, scale, run,
-            sample_cap=sample_cap, eval_workers=eval_workers,
-        )
-    elif cell.scheme == "sa":
-        outcome, finished = _run_sa_cell(
-            cell, seed, evaluator, scale, run, sample_cap=sample_cap
-        )
-    elif cell.scheme == "islands":
-        outcome, finished = _run_islands_cell(
-            cell, seed, evaluator, scale, run,
-            sample_cap=sample_cap, eval_workers=eval_workers,
-        )
-    elif cell.scheme == "nsga":
-        outcome = _run_nsga_cell(
-            cell, seed, evaluator, scale, run, eval_workers=eval_workers
-        )
-    else:
-        outcome, finished = _run_two_step_cell(
-            cell, seed, evaluator, scale, run,
-            sample_cap=sample_cap, eval_workers=eval_workers,
-        )
+    evaluations, result = _search_cell(
+        cell, seed, evaluator, run, sample_cap, eval_workers
+    )
+    if result is not None:
+        genome = result.best_genome
+        cost = evaluator.evaluate(genome.partition.subgraph_sets, genome.memory)
     registry.save_warm_summaries(
         cell.network, cell.bytes_per_element, evaluator.export_summaries()
     )
     # Cache/batch-pricing counters for the aggregation layer's hit-rate
     # series (write-only; the search never reads telemetry back).
     emit("evaluator.stats", cell=cell.cell_id, stats=evaluator.stats())
-    if not finished:
+    if result is None:
         return {
             **config,
             "seed": seed,
             "status": "exhausted",
-            "num_evaluations": outcome["num_evaluations"],
+            "num_evaluations": evaluations,
         }
-    cost = outcome["partition_cost"]
-    result = {
+    row = {
         **config,
         "seed": seed,
         "status": "complete",
-        "best_cost": outcome["best_cost"],
-        "capacity_bytes": outcome["memory"].total_bytes,
+        "best_cost": result.best_cost,
+        "capacity_bytes": genome.memory.total_bytes,
         "ema_bytes": cost.ema_bytes,
         "energy_pj": cost.energy_pj,
         "num_subgraphs": cost.num_subgraphs,
-        "num_evaluations": outcome["num_evaluations"],
+        "num_evaluations": evaluations,
     }
-    run.finish(result)
-    return result
+    run.finish(row)
+    return row
 
 
 # ---------------------------------------------------------------------------

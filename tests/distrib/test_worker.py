@@ -26,8 +26,9 @@ from repro.cost.evaluator import Evaluator
 from repro.cost.objective import Metric
 from repro.experiments.common import SCALES
 from repro.graphs.zoo import get_model
-from repro.runs.checkpoint import ga_checkpoint_to_dict
+from repro.runs.checkpoint import checkpoint_to_dict
 from repro.runs.registry import RunRegistry
+from repro.runs.transport import FsTransport, RunNode
 from repro.runs.suite import (
     FAULT_ENV,
     SuiteCell,
@@ -109,9 +110,9 @@ class TestSingleWorker:
         )
         registry = RunRegistry(tmp_path / "reg")
         run = registry.open_run(cell.config_dict(), seed)
-        run.save_checkpoint(ga_checkpoint_to_dict(checkpoints[2]))
+        run.save_checkpoint(checkpoint_to_dict(checkpoints[2]))
         # the dead peer's lease, long expired
-        stale = try_acquire_lease(run.path, "dead-peer", ttl=0.01)
+        stale = try_acquire_lease(run.node, "dead-peer", ttl=0.01)
         assert stale is not None
         time.sleep(0.05)
 
@@ -133,9 +134,9 @@ class TestIdleGiveUp:
         # claimable, but the campaign is unfinished
         fake = FakeClock()
         for cell in MATRIX.cells():
-            run_dir = registry.run_path(cell.config_dict(), cell.seed(0))
+            node = registry.run_node(cell.config_dict(), cell.seed(0))
             assert try_acquire_lease(
-                run_dir, "peer", ttl=10_000.0, clock=fake
+                node, "peer", ttl=10_000.0, clock=fake
             ) is not None
         summary = run_worker(
             MATRIX,
@@ -177,7 +178,7 @@ class TestConcurrentWorkers:
         assert len(run_dirs) == 4
         for run_dir in run_dirs:
             assert (run_dir / "result.json").exists()
-            assert read_lease(run_dir) is None
+            assert read_lease(RunNode(FsTransport(registry), run_dir.name)) is None
 
     def test_budgeted_two_processes_match_budgeted_serial(self, tmp_path):
         budget = 220  # SA cells refund into the hungrier cocco cells

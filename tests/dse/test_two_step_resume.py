@@ -27,8 +27,8 @@ from repro.errors import SearchError
 from repro.ga.engine import GAConfig
 from repro.graphs.serialize import graph_from_dict, graph_to_dict
 from repro.runs.checkpoint import (
-    two_step_checkpoint_from_dict,
-    two_step_checkpoint_to_dict,
+    checkpoint_from_dict,
+    checkpoint_to_dict,
 )
 from repro.search_space import CapacitySpace
 
@@ -119,10 +119,10 @@ class TestResume:
         full, checkpoints = capture(graph)
         mid = checkpoints[sorted(checkpoints)[len(checkpoints) // 2]]
         payload = json.loads(
-            json.dumps(two_step_checkpoint_to_dict(mid, kind="rs"))
+            json.dumps(checkpoint_to_dict(mid, kind="rs"))
         )
         fresh_graph = graph_from_dict(graph_to_dict(graph))
-        restored = two_step_checkpoint_from_dict(payload, fresh_graph)
+        restored = checkpoint_from_dict(payload, fresh_graph)
         resumed = rs(fresh_graph, resume_from=restored)
         assert results_equal(full, resumed)
 

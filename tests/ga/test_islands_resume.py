@@ -29,8 +29,8 @@ from repro.ga.islands import (
 from repro.ga.problem import OptimizationProblem
 from repro.graphs.serialize import graph_from_dict, graph_to_dict
 from repro.runs.checkpoint import (
-    islands_checkpoint_from_dict,
-    islands_checkpoint_to_dict,
+    checkpoint_from_dict,
+    checkpoint_to_dict,
 )
 from repro.search_space import CapacitySpace
 
@@ -118,9 +118,9 @@ class TestResume:
     def test_json_round_trip_with_fresh_graph(self, graph):
         full, checkpoints = capture(graph)
         mid = checkpoints[sorted(checkpoints)[len(checkpoints) // 2]]
-        payload = json.loads(json.dumps(islands_checkpoint_to_dict(mid)))
+        payload = json.loads(json.dumps(checkpoint_to_dict(mid)))
         fresh_graph = graph_from_dict(graph_to_dict(graph))
-        restored = islands_checkpoint_from_dict(payload, fresh_graph)
+        restored = checkpoint_from_dict(payload, fresh_graph)
         resumed = island_search(
             co_problem(fresh_graph), CONFIG, resume_from=restored
         )
@@ -132,9 +132,9 @@ class TestResume:
         full, checkpoints = capture(graph)
         first = checkpoints[min(checkpoints)]
         assert any(state.evaluations == 0 for state in first.islands)
-        payload = json.loads(json.dumps(islands_checkpoint_to_dict(first)))
+        payload = json.loads(json.dumps(checkpoint_to_dict(first)))
         fresh_graph = graph_from_dict(graph_to_dict(graph))
-        restored = islands_checkpoint_from_dict(payload, fresh_graph)
+        restored = checkpoint_from_dict(payload, fresh_graph)
         resumed = island_search(
             co_problem(fresh_graph), CONFIG, resume_from=restored
         )

@@ -24,7 +24,7 @@ class TestDocumentShape:
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
         # shallow and deep rules both travel with every log
-        assert {"RL001", "RL004", "RL005", "RL101", "RL105"} <= rule_ids
+        assert {"RL001", "RL004", "RL101", "RL105"} <= rule_ids
         assert run["results"] == []
 
     def test_finding_maps_to_result_with_location(self, fixture_tree):
@@ -72,15 +72,15 @@ class TestCodeFlows:
                         return random.random()
                 """,
                 "repro/runs/checkpoint.py": """
-                    def ga_checkpoint_to_dict(state):
+                    def checkpoint_to_dict(state):
                         return {"state": state}
                 """,
                 "repro/runs/save.py": """
-                    from repro.runs.checkpoint import ga_checkpoint_to_dict
+                    from repro.runs.checkpoint import checkpoint_to_dict
                     from repro.util.ids import token
 
                     def persist():
-                        return ga_checkpoint_to_dict({"id": token()})
+                        return checkpoint_to_dict({"id": token()})
                 """,
             },
             deep=True,
@@ -97,7 +97,7 @@ class TestCodeFlows:
         ]
         assert len(steps) >= 2
         assert any("random.random" in step for step in steps)
-        assert any("ga_checkpoint_to_dict" in step for step in steps)
+        assert any("checkpoint_to_dict" in step for step in steps)
 
     def test_non_flow_findings_have_no_code_flow(self, fixture_tree):
         root, report = lint_tree(

@@ -45,16 +45,16 @@ MULTI_HOP_RNG = {
             return f"run-{token}"
     """,
     "repro.runs.checkpoint": """
-        def ga_checkpoint_to_dict(state):
+        def checkpoint_to_dict(state):
             return {"state": state}
     """,
     "repro.runs.snapshot": """
-        from repro.runs.checkpoint import ga_checkpoint_to_dict
+        from repro.runs.checkpoint import checkpoint_to_dict
         from repro.util.labels import run_label
 
         def persist(best):
             payload = {"best": best, "label": run_label()}
-            return ga_checkpoint_to_dict(payload)
+            return checkpoint_to_dict(payload)
     """,
 }
 
@@ -65,7 +65,7 @@ class TestMultiHopFlows:
         assert len(flows) == 1
         (flow,) = flows
         assert flow.source.kind == "rng"
-        assert "ga_checkpoint_to_dict" in flow.sink
+        assert "checkpoint_to_dict" in flow.sink
         # the chain tells the whole story: draw, two forwarding hops,
         # sink — at least two call hops between source and sink
         assert len(flow.trace) - 1 >= 2
@@ -178,25 +178,23 @@ class TestSourcesAndSinks:
     def test_entropy_reaches_atomic_write_helper(self):
         flows = run_taint(
             {
-                "repro.runs.registry": """
-                    import os
-
-                    def _write_atomic(path, text):
-                        tmp = path.with_name(path.name + ".tmp")
-                        tmp.write_text(text)
-                        os.replace(tmp, path)
+                "repro.runs.transport": """
+                    class RunNode:
+                        def write_atomic(self, key, text):
+                            return key
                 """,
                 "repro.runs.result": """
                     import os
-                    from repro.runs.registry import _write_atomic
+                    from repro.runs.transport import RunNode
 
-                    def finish(path):
-                        _write_atomic(path, f"pid={os.getpid()}")
+                    def finish(node: RunNode):
+                        node.write_atomic("result.json", f"pid={os.getpid()}")
                 """,
             }
         )
         assert any(
-            flow.source.kind == "entropy" and "_write_atomic" in flow.sink
+            flow.source.kind == "entropy"
+            and "transport write .write_atomic()" in flow.sink
             for flow in flows
         )
 

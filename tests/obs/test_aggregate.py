@@ -104,6 +104,10 @@ def mixed_registry(tmp_path):
         registry.run_path(c.config_dict(), c.seed(MATRIX.seed))
         for c in cells
     ]
+    nodes = [
+        registry.run_node(c.config_dict(), c.seed(MATRIX.seed))
+        for c in cells
+    ]
 
     # cells[0]: complete, with history and telemetry.
     run = registry.open_run(
@@ -141,7 +145,7 @@ def mixed_registry(tmp_path):
     )
 
     # cells[1]: leased, live heartbeat enriched with worker progress.
-    lease = try_acquire_lease(dirs[1], "worker-live", ttl=3600)
+    lease = try_acquire_lease(nodes[1], "worker-live", ttl=3600)
     assert lease is not None
     assert renew_lease(
         lease, extra={"evals_done": 120, "started_at": 1000.0}
@@ -169,7 +173,7 @@ def mixed_registry(tmp_path):
 
     # cells[2]: leased but expired — its worker is presumed dead. The
     # telemetry stream ends in a torn line (SIGKILL mid-append).
-    stale = try_acquire_lease(dirs[2], "worker-dead", ttl=0.0)
+    stale = try_acquire_lease(nodes[2], "worker-dead", ttl=0.0)
     assert stale is not None
     with (dirs[2] / TELEMETRY_FILENAME).open("w") as fh:
         fh.write(

@@ -22,14 +22,12 @@ from repro.errors import SearchError
 from repro.ga.engine import EngineCheckpoint, GAConfig, GeneticEngine
 from repro.ga.problem import OptimizationProblem
 from repro.runs.checkpoint import (
-    ga_checkpoint_from_dict,
-    ga_checkpoint_to_dict,
+    checkpoint_from_dict,
+    checkpoint_to_dict,
     genome_from_dict,
     genome_to_dict,
     memory_from_dict,
     memory_to_dict,
-    nsga_checkpoint_from_dict,
-    nsga_checkpoint_to_dict,
 )
 from repro.search_space import CapacitySpace
 from repro.units import kb
@@ -120,8 +118,8 @@ class TestEngineResume:
         (new problem, new evaluator, rebuilt genomes)."""
         full = GeneticEngine(co_problem(graph), GA_CONFIG).run()
         checkpoint = capture_checkpoints(graph)[3]
-        blob = json.dumps(ga_checkpoint_to_dict(checkpoint))
-        restored = ga_checkpoint_from_dict(json.loads(blob), graph)
+        blob = json.dumps(checkpoint_to_dict(checkpoint))
+        restored = checkpoint_from_dict(json.loads(blob), graph)
         resumed = GeneticEngine(co_problem(graph), GA_CONFIG).resume(restored)
         assert ga_results_equal(resumed, full)
 
@@ -141,8 +139,8 @@ class TestEngineResume:
         GeneticEngine(co_problem(graph), parallel).run(
             on_generation=lambda ck: checkpoints.__setitem__(ck.generation, ck)
         )
-        blob = json.dumps(ga_checkpoint_to_dict(checkpoints[2]))
-        restored = ga_checkpoint_from_dict(json.loads(blob), graph)
+        blob = json.dumps(checkpoint_to_dict(checkpoints[2]))
+        restored = checkpoint_from_dict(json.loads(blob), graph)
         resumed = GeneticEngine(co_problem(graph), parallel).resume(restored)
         assert ga_results_equal(resumed, full)
 
@@ -208,9 +206,9 @@ class TestNSGAResume:
         full = self.run_full(graph)
         checkpoints = self.capture(graph)
         for generation in (0, 2, 4):
-            restored = nsga_checkpoint_from_dict(
+            restored = checkpoint_from_dict(
                 json.loads(
-                    json.dumps(nsga_checkpoint_to_dict(checkpoints[generation]))
+                    json.dumps(checkpoint_to_dict(checkpoints[generation]))
                 ),
                 graph,
             )
@@ -278,16 +276,11 @@ class TestNewKindRoundTrips:
         return checkpoints[len(checkpoints) // 2]
 
     def test_islands_round_trip(self, graph):
-        from repro.runs.checkpoint import (
-            islands_checkpoint_from_dict,
-            islands_checkpoint_to_dict,
-        )
-
         _, checkpoint = self.islands_checkpoint(graph)
-        payload = json.loads(json.dumps(islands_checkpoint_to_dict(checkpoint)))
+        payload = json.loads(json.dumps(checkpoint_to_dict(checkpoint)))
         assert payload["kind"] == "islands"
         assert payload["evaluations"] == checkpoint.evaluations
-        rebuilt = islands_checkpoint_from_dict(payload, build_chain(depth=6))
+        rebuilt = checkpoint_from_dict(payload, build_chain(depth=6))
         assert rebuilt.epoch == checkpoint.epoch
         assert rebuilt.island == checkpoint.island
         assert rebuilt.evaluations == checkpoint.evaluations
@@ -313,18 +306,13 @@ class TestNewKindRoundTrips:
 
     @pytest.mark.parametrize("kind", ["two_step", "rs", "gs"])
     def test_two_step_round_trip(self, graph, kind):
-        from repro.runs.checkpoint import (
-            two_step_checkpoint_from_dict,
-            two_step_checkpoint_to_dict,
-        )
-
         checkpoint = self.two_step_checkpoint(graph)
         payload = json.loads(
-            json.dumps(two_step_checkpoint_to_dict(checkpoint, kind=kind))
+            json.dumps(checkpoint_to_dict(checkpoint, kind=kind))
         )
         assert payload["kind"] == kind
         assert payload["evaluations"] == checkpoint.evaluations
-        rebuilt = two_step_checkpoint_from_dict(
+        rebuilt = checkpoint_from_dict(
             payload, build_chain(depth=6), kind=kind
         )
         assert rebuilt.method == checkpoint.method
@@ -341,36 +329,27 @@ class TestNewKindRoundTrips:
 
     def test_two_step_kind_must_match(self, graph):
         from repro.errors import ConfigError
-        from repro.runs.checkpoint import (
-            two_step_checkpoint_from_dict,
-            two_step_checkpoint_to_dict,
-        )
 
         checkpoint = self.two_step_checkpoint(graph)
-        payload = two_step_checkpoint_to_dict(checkpoint, kind="rs")
+        payload = checkpoint_to_dict(checkpoint, kind="rs")
         with pytest.raises(ConfigError):
-            two_step_checkpoint_from_dict(payload, graph, kind="gs")
+            checkpoint_from_dict(payload, graph, kind="gs")
         # without an expected kind, any two-step stamp is accepted
-        assert two_step_checkpoint_from_dict(payload, graph) is not None
+        assert checkpoint_from_dict(payload, graph) is not None
 
     def test_unknown_kind_rejected(self, graph):
         from repro.errors import ConfigError
-        from repro.runs.checkpoint import (
-            islands_checkpoint_from_dict,
-            two_step_checkpoint_from_dict,
-            two_step_checkpoint_to_dict,
-        )
 
         checkpoint = self.two_step_checkpoint(graph)
         with pytest.raises(ConfigError):
-            two_step_checkpoint_to_dict(checkpoint, kind="sa")
-        payload = two_step_checkpoint_to_dict(checkpoint)
+            checkpoint_to_dict(checkpoint, kind="sa")
+        payload = checkpoint_to_dict(checkpoint)
         with pytest.raises(ConfigError):
-            islands_checkpoint_from_dict(payload, graph)
+            checkpoint_from_dict(payload, graph, kind="islands")
         payload["kind"] = "bogus"
         with pytest.raises(ConfigError):
-            two_step_checkpoint_from_dict(payload, graph)
+            checkpoint_from_dict(payload, graph)
         payload["kind"] = "two_step"
         payload["format"] = 99
         with pytest.raises(ConfigError):
-            two_step_checkpoint_from_dict(payload, graph)
+            checkpoint_from_dict(payload, graph)

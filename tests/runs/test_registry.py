@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.runs.registry import RunRegistry, config_hash
+from repro.runs.registry import LEASE_FILENAME, RunRegistry, config_hash
 
 
 CONFIG = {"network": "resnet50", "scheme": "cocco", "alpha": 0.002}
@@ -156,7 +156,8 @@ class TestGc:
     def test_reclaims_completed_checkpoints_and_leases(self, registry):
         done = registry.open_run(CONFIG, seed=0)
         done.save_checkpoint({"generation": 5, "big": "x" * 1000})
-        done.lease_path.write_text("{}")
+        lease = done.path / LEASE_FILENAME
+        lease.write_text("{}")
         done.finish({"v": 1})
         pending = registry.open_run(CONFIG, seed=1)
         pending.save_checkpoint({"generation": 2})
@@ -166,7 +167,7 @@ class TestGc:
         assert reclaimed > 1000
         # completed run: scratch gone, result intact
         assert not done.has_checkpoint
-        assert not done.lease_path.exists()
+        assert not lease.exists()
         assert done.load_result() == {"v": 1}
         # incomplete run keeps its checkpoint (that's its resume state)
         assert pending.has_checkpoint

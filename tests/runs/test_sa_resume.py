@@ -20,7 +20,7 @@ from repro.errors import SearchError
 from repro.ga.annealing import SACheckpoint, SAConfig, simulated_annealing
 from repro.ga.problem import OptimizationProblem
 from repro.graphs.serialize import graph_from_dict, graph_to_dict
-from repro.runs.checkpoint import sa_checkpoint_from_dict, sa_checkpoint_to_dict
+from repro.runs.checkpoint import checkpoint_from_dict, checkpoint_to_dict
 from repro.search_space import CapacitySpace
 
 from ..conftest import build_chain
@@ -97,10 +97,10 @@ class TestResume:
     def test_json_round_trip_with_fresh_graph(self, graph):
         full, checkpoints = capture(graph)
         payload = json.loads(
-            json.dumps(sa_checkpoint_to_dict(checkpoints[28]))
+            json.dumps(checkpoint_to_dict(checkpoints[28]))
         )
         fresh_graph = graph_from_dict(graph_to_dict(graph))
-        restored = sa_checkpoint_from_dict(payload, fresh_graph)
+        restored = checkpoint_from_dict(payload, fresh_graph)
         resumed = simulated_annealing(
             co_problem(fresh_graph), CONFIG, resume_from=restored
         )

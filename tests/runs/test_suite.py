@@ -21,7 +21,7 @@ from repro.experiments.common import SCALES
 from repro.ga.engine import GeneticEngine
 from repro.ga.problem import OptimizationProblem
 from repro.graphs.zoo import get_model
-from repro.runs.checkpoint import ga_checkpoint_to_dict
+from repro.runs.checkpoint import checkpoint_to_dict
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import (
     FAULT_ENV,
@@ -178,7 +178,7 @@ class TestMidCellResume:
         for generation in range(0, 3):
             run.log_history({"generation": generation, "evaluations": 0,
                              "best_cost": 0.0})
-        run.save_checkpoint(ga_checkpoint_to_dict(checkpoints[2]))
+        run.save_checkpoint(checkpoint_to_dict(checkpoints[2]))
 
         resumed_row = run_cell(cell, 0, interrupted)
         clean_row = run_cell(cell, 0, RunRegistry(tmp_path / "clean"))
@@ -276,7 +276,7 @@ class TestSACellResume:
         """An interrupted SA cell continues from checkpoint.json and
         produces exactly the result of an uninterrupted cell."""
         from repro.dse.sa import sa_co_optimize
-        from repro.runs.checkpoint import sa_checkpoint_to_dict
+        from repro.runs.checkpoint import checkpoint_to_dict
 
         cell = SuiteCell(
             network="vgg16", mode="separate", metric="energy",
@@ -301,7 +301,7 @@ class TestSACellResume:
         run = interrupted.open_run(cell.config_dict(), seed)
         for step in (0, 25, 30):  # 30: an orphaned post-checkpoint line
             run.log_history({"step": step, "evaluations": 0, "best_cost": 0.0})
-        run.save_checkpoint(sa_checkpoint_to_dict(mid))
+        run.save_checkpoint(checkpoint_to_dict(mid))
 
         resumed_row = run_cell(cell, 0, interrupted)
         clean_row = run_cell(cell, 0, RunRegistry(tmp_path / "clean"))
@@ -408,7 +408,7 @@ class TestIslandsCellResume:
         checkpoint.json and produces exactly the result of an
         uninterrupted cell."""
         from repro.ga.islands import checkpoint_tick, island_search
-        from repro.runs.checkpoint import islands_checkpoint_to_dict
+        from repro.runs.checkpoint import checkpoint_to_dict
         from repro.ga.problem import OptimizationProblem
         from repro.cost.objective import Metric as _Metric
 
@@ -437,7 +437,7 @@ class TestIslandsCellResume:
         for tick in (0, mid_tick, mid_tick + 1):  # +1: orphaned line
             run.log_history({"tick": tick, "evaluations": 0, "best_cost": 0.0})
         run.save_checkpoint(
-            islands_checkpoint_to_dict(checkpoints[mid_tick])
+            checkpoint_to_dict(checkpoints[mid_tick])
         )
 
         resumed_row = run_cell(cell, 0, interrupted)
@@ -477,7 +477,7 @@ class TestTwoStepCellResume:
             grid_search_ga,
             random_search_ga,
         )
-        from repro.runs.checkpoint import two_step_checkpoint_to_dict
+        from repro.runs.checkpoint import checkpoint_to_dict
         from repro.cost.objective import Metric as _Metric
 
         cell = SuiteCell(
@@ -516,7 +516,7 @@ class TestTwoStepCellResume:
         run = interrupted.open_run(cell.config_dict(), seed)
         for tick in (0, mid_tick, mid_tick + 1):
             run.log_history({"tick": tick, "evaluations": 0, "best_cost": 0.0})
-        run.save_checkpoint(two_step_checkpoint_to_dict(mid, kind=scheme))
+        run.save_checkpoint(checkpoint_to_dict(mid, kind=scheme))
 
         resumed_row = run_cell(cell, 0, interrupted)
         clean_row = run_cell(cell, 0, RunRegistry(tmp_path / "clean"))

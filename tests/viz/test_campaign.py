@@ -76,14 +76,14 @@ class TestSnapshot:
     def test_running_and_stalled_states(self, tmp_path):
         registry = RunRegistry(tmp_path / "reg")
         cells = MATRIX.cells()
-        fresh_dir = registry.run_path(
+        fresh = registry.run_node(
             cells[0].config_dict(), cells[0].seed(MATRIX.seed)
         )
-        stale_dir = registry.run_path(
+        stale = registry.run_node(
             cells[1].config_dict(), cells[1].seed(MATRIX.seed)
         )
-        assert try_acquire_lease(fresh_dir, "alive", ttl=60) is not None
-        assert try_acquire_lease(stale_dir, "dead", ttl=0.01) is not None
+        assert try_acquire_lease(fresh, "alive", ttl=60) is not None
+        assert try_acquire_lease(stale, "dead", ttl=0.01) is not None
         time.sleep(0.05)
         snapshot = campaign_snapshot(MATRIX, registry)
         assert snapshot[0].state == "running"
