@@ -12,6 +12,13 @@ retained pre-optimization reference
 (:class:`repro.cost.reference.ReferenceEvaluator`). Results are asserted
 bit-identical at every stage; only the wall-clock may differ.
 
+The ``partition`` stage times the partition layer next to it:
+``normalize_groups`` through the integer-label kernels
+(:mod:`repro.partition.kernels`) against the retained string/dict
+reference (:mod:`repro.partition.reference`) on ``randwire_a``, whatever
+``--model`` says, over raw groupings shaped like the GA operators'
+outputs. Both build the same partitions (asserted).
+
 Writes a machine-readable ``BENCH_evaluator.json`` (ops/sec per stage plus
 fast-vs-reference speedups) so the performance trajectory is tracked PR
 over PR, and can compare itself against a committed baseline with
@@ -54,7 +61,9 @@ from repro.ga.engine import GAConfig, GeneticEngine
 from repro.ga.genome import Genome
 from repro.ga.problem import OptimizationProblem
 from repro.graphs.zoo import get_model
+from repro.partition import reference as partition_reference
 from repro.partition.random_init import random_partition
+from repro.partition.validity import normalize_groups
 from repro.units import kb, mb
 
 #: The acceptance bar for the population-evaluation microbenchmark.
@@ -416,6 +425,73 @@ def stage_telemetry(
     }
 
 
+def _operator_groupings(graph, count: int, seed: int) -> list[list[set[str]]]:
+    """Raw groupings like the GA operators hand to ``normalize_groups``.
+
+    Each starts from a random partition and applies one operator-shaped
+    edit: move a layer to another group (modify-node), bisect a group
+    along the topological order (split), fuse two groups (merge), or
+    splice the groups of two parents (crossover).
+    """
+    rng = random.Random(seed)
+    topo_index = graph.topo_index()
+    groupings = []
+    while len(groupings) < count:
+        groups = random_partition(graph, rng).groups()
+        i = rng.randrange(len(groups))
+        kind = rng.choice(("modify", "split", "merge", "crossover"))
+        if kind == "modify":
+            name = rng.choice(sorted(groups[i]))
+            groups[i].discard(name)
+            groups[rng.randrange(len(groups))].add(name)
+        elif kind == "split":
+            ordered = sorted(groups[i], key=topo_index.__getitem__)
+            half = len(ordered) // 2
+            groups[i : i + 1] = [set(ordered[:half]), set(ordered[half:])]
+        elif kind == "merge":
+            j = rng.randrange(len(groups))
+            groups[i] |= groups[j]
+            if i != j:
+                del groups[j]
+        else:
+            other = random_partition(graph, rng).groups()
+            groups = groups[:i] + other
+        groupings.append(groups)
+    return groupings
+
+
+def stage_partition(groupings: int, seed: int, reps: int) -> dict:
+    """``normalize_groups`` on randwire_a: kernels vs the reference.
+
+    Both sides build their :class:`Partition` through the same
+    ``check_partition``, so the ratio is that of the normalization work
+    alone plus a shared construction cost.
+    """
+    graph = get_model("randwire_a")
+    inputs = _operator_groupings(graph, groupings, seed)
+    for groups in inputs:
+        fast = normalize_groups(graph, groups)
+        ref = partition_reference.normalize_groups(graph, groups)
+        if fast != ref:
+            raise AssertionError("normalize_groups diverged from the reference")
+
+    def timed(normalize) -> float:
+        t0 = time.perf_counter()
+        for groups in inputs:
+            normalize(graph, groups)
+        return time.perf_counter() - t0
+
+    t_fast = _best_of(reps, lambda: timed(normalize_groups))
+    t_ref = _best_of(reps, lambda: timed(partition_reference.normalize_groups))
+    n = len(inputs)
+    return {
+        "ops": n,
+        "fast_ops_per_sec": n / t_fast,
+        "reference_ops_per_sec": n / t_ref,
+        "speedup": t_ref / t_fast,
+    }
+
+
 # ---------------------------------------------------------------------------
 def measure(
     model: str = "resnet50",
@@ -424,6 +500,7 @@ def measure(
     num_subgraphs: int = 120,
     seed: int = 0,
     reps: int = 3,
+    groupings: int = 300,
 ) -> dict:
     """Run all stages; raises on any fast/reference divergence."""
     graph = get_model(model)
@@ -442,6 +519,7 @@ def measure(
         "telemetry": stage_telemetry(
             graph, accel, population, generations, seed, reps
         ),
+        "partition": stage_partition(groupings, seed, reps),
     }
     return {
         "meta": {
@@ -451,6 +529,7 @@ def measure(
             "num_subgraphs": num_subgraphs,
             "seed": seed,
             "reps": reps,
+            "groupings": groupings,
         },
         "stages": stages,
     }
@@ -524,10 +603,10 @@ def test_population_eval_speedup(once):
 def test_quick_identity(once):
     """Cheap variant: every stage's identity assertions on a small model."""
     report = once(measure, model="googlenet", population=16, generations=2,
-                  num_subgraphs=30, reps=1)
+                  num_subgraphs=30, reps=1, groupings=40)
     assert set(report["stages"]) == {
         "profile", "price", "population", "population_batch", "generations",
-        "telemetry",
+        "telemetry", "partition",
     }
     for stage in report["stages"].values():
         assert stage["speedup"] > 0
@@ -552,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.quick:
         report = measure(model="googlenet", population=16, generations=2,
-                         num_subgraphs=30, seed=args.seed, reps=2)
+                         num_subgraphs=30, seed=args.seed, reps=2, groupings=100)
     else:
         report = measure(
             model=args.model,

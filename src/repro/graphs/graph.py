@@ -5,6 +5,8 @@ layers and whose edge ``(u, v)`` says the output of ``u`` feeds ``v``
 (Sec 4.1.1). The class below keeps deterministic insertion order for all
 iteration (so seeded experiments are reproducible), validates acyclicity
 and connectivity eagerly, and caches the topological order.
+:class:`ComputeIndex` is the integer view of the compute layers that the
+partition kernels run on.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ class ComputationGraph:
         self._topo_cache: tuple[str, ...] | None = None
         self._topo_index_cache: dict[str, int] | None = None
         self._succ_map_cache: dict[str, tuple[str, ...]] | None = None
+        self._edges_cache: tuple[tuple[str, str], ...] | None = None
+        self._compute_cache: tuple[str, ...] | None = None
+        self._compute_index_cache: ComputeIndex | None = None
         self._arrays_cache: dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -55,6 +60,9 @@ class ComputationGraph:
         self._topo_cache = None
         self._topo_index_cache = None
         self._succ_map_cache = None
+        self._edges_cache = None
+        self._compute_cache = None
+        self._compute_index_cache = None
         self._arrays_cache.clear()
         return spec.name
 
@@ -110,12 +118,14 @@ class ComputationGraph:
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
-        """All ``(producer, consumer)`` pairs, deterministic order."""
-        return tuple(
-            (parent, child)
-            for child in self._layers
-            for parent in self._preds[child]
-        )
+        """All ``(producer, consumer)`` pairs, deterministic order (cached)."""
+        if self._edges_cache is None:
+            self._edges_cache = tuple(
+                (parent, child)
+                for child in self._layers
+                for parent in self._preds[child]
+            )
+        return self._edges_cache
 
     @property
     def input_names(self) -> tuple[str, ...]:
@@ -124,8 +134,13 @@ class ComputationGraph:
 
     @property
     def compute_names(self) -> tuple[str, ...]:
-        """Names of all non-input layers, in topological order."""
-        return tuple(n for n in self.topological_order() if not self.layer(n).is_input)
+        """Names of all non-input layers, in topological order (cached)."""
+        if self._compute_cache is None:
+            layers = self._layers
+            self._compute_cache = tuple(
+                n for n in self.topological_order() if not layers[n].is_input
+            )
+        return self._compute_cache
 
     @property
     def output_names(self) -> tuple[str, ...]:
@@ -175,6 +190,12 @@ class ComputationGraph:
             cached = GraphArrays(self, bytes_per_element)
             self._arrays_cache[bytes_per_element] = cached
         return cached
+
+    def compute_index(self) -> ComputeIndex:
+        """Cached :class:`ComputeIndex` of this graph's compute layers."""
+        if self._compute_index_cache is None:
+            self._compute_index_cache = ComputeIndex(self)
+        return self._compute_index_cache
 
     def depth(self) -> dict[str, int]:
         """Longest-path depth of each layer (inputs have depth 0)."""
@@ -229,3 +250,29 @@ class ComputationGraph:
             f"ComputationGraph({self.name!r}, layers={len(self)}, "
             f"edges={len(self.edges)})"
         )
+
+
+class ComputeIndex:
+    """Integer view of a graph's compute layers, for the partition kernels.
+
+    ``names`` are the compute layers in topological order and
+    ``position`` maps each to its index there. ``edges`` holds every
+    compute-to-compute edge as a ``(producer, consumer)`` pair of
+    positions, in :attr:`ComputationGraph.edges` order; ``sources`` and
+    ``targets`` are its two columns. Edges from model inputs are left
+    out: inputs belong to no subgraph.
+    """
+
+    __slots__ = ("names", "position", "edges", "sources", "targets")
+
+    def __init__(self, graph: ComputationGraph):
+        self.names: tuple[str, ...] = graph.compute_names
+        position = {name: i for i, name in enumerate(self.names)}
+        self.position: dict[str, int] = position
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            (position[p], position[c])
+            for p, c in graph.edges
+            if p in position and c in position
+        )
+        self.sources: tuple[int, ...] = tuple(u for u, _ in self.edges)
+        self.targets: tuple[int, ...] = tuple(v for _, v in self.edges)

@@ -75,11 +75,6 @@ class ImportMap:
         return f"{target}.{rest}" if rest else target
 
 
-def call_qualname(call: ast.Call, imports: ImportMap) -> str | None:
-    """Canonical qualified name of a call's target, or None."""
-    return imports.resolve(attr_chain(call.func))
-
-
 def absolutize(
     qualified: str | None, module: str, is_package: bool = False
 ) -> str | None:

@@ -25,17 +25,17 @@ class Partition:
     def __init__(self, graph: ComputationGraph, assignment: Mapping[str, int]):
         from .validity import check_partition  # deferred: circular import
 
-        check_partition(graph, assignment)
+        key = check_partition(graph, assignment)
+        names = graph.compute_names
         self.graph = graph
-        self._assignment = dict(assignment)
-        count = max(self._assignment.values()) + 1
-        sets: list[set[str]] = [set() for _ in range(count)]
-        for name, index in self._assignment.items():
+        # Topological order, so serialized assignments (checkpoints) do
+        # not depend on the caller's dict order or the hash seed.
+        self._assignment = dict(zip(names, key))
+        sets: list[set[str]] = [set() for _ in range(max(key) + 1)]
+        for name, index in zip(names, key):
             sets[index].add(name)
-        self._sets = tuple(frozenset(s) for s in sets)
-        self._key = tuple(
-            self._assignment[name] for name in graph.compute_names
-        )
+        self._sets = tuple(map(frozenset, sets))
+        self._key = key
 
     # ------------------------------------------------------------------
     @staticmethod

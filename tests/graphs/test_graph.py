@@ -77,6 +77,28 @@ class TestQueries:
         assert "in" not in chain_graph.compute_names
         assert len(chain_graph.compute_names) == 4
 
+    def test_compute_index_is_integer_view(self, diamond_graph):
+        view = diamond_graph.compute_index()
+        assert view.names == ("stem", "left", "right", "join")
+        assert view.position == {"stem": 0, "left": 1, "right": 2, "join": 3}
+        # The input edge is left out; the rest keep ``edges`` order.
+        assert view.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert view.sources == (0, 0, 1, 2)
+        assert view.targets == (1, 2, 3, 3)
+
+    def test_cached_views_are_reset_by_add_layer(self, chain_graph):
+        names, edges = chain_graph.compute_names, chain_graph.edges
+        view = chain_graph.compute_index()
+        assert chain_graph.compute_names is names
+        assert chain_graph.edges is edges
+        assert chain_graph.compute_index() is view
+        chain_graph.add_layer(
+            LayerSpec("tail", OpKind.CONV, TensorShape(4, 4, 4)), ["conv4"]
+        )
+        assert chain_graph.compute_names == names + ("tail",)
+        assert chain_graph.edges == edges + (("conv4", "tail"),)
+        assert chain_graph.compute_index().position["tail"] == len(names)
+
 
 class TestTopology:
     def test_topological_order_respects_edges(self, diamond_graph):

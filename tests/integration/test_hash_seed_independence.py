@@ -8,6 +8,11 @@ internal visit order, and in some cases its output, depended on
 regression check runs one canonical scenario per fixed site in two
 subprocesses with *different* hash seeds and asserts byte-identical
 JSON output.
+
+A second check runs a whole tiny campaign under two hash seeds and
+compares every registry file byte for byte (telemetry, which carries
+wall-clock timestamps, aside): checkpoints store partition assignments,
+so those must serialize in an order that does not depend on the seed.
 """
 
 from __future__ import annotations
@@ -150,18 +155,45 @@ SCENARIO = textwrap.dedent(
 )
 
 
-def run_with_hash_seed(seed: str) -> str:
+#: A tiny five-scheme campaign; the registry root is ``argv[1]``.
+CAMPAIGN = textwrap.dedent(
+    """
+    import sys
+
+    from repro.runs.suite import SuiteMatrix, run_suite
+
+    matrix = SuiteMatrix(
+        networks=("googlenet",),
+        metrics=("ema",),
+        schemes=("cocco", "sa", "nsga", "islands", "rs"),
+        scale="tiny",
+    )
+    run_suite(matrix, sys.argv[1], workers=1)
+    """
+)
+
+
+def run_with_hash_seed(seed: str, script: str = SCENARIO, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = seed
     env["PYTHONPATH"] = str(SRC)
     result = subprocess.run(
-        [sys.executable, "-c", SCENARIO],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
     return result.stdout
+
+
+def registry_files(root: Path) -> dict[str, bytes]:
+    """Every file under a registry but telemetry, by relative path."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "telemetry.jsonl"
+    }
 
 
 class TestHashSeedIndependence:
@@ -188,3 +220,12 @@ class TestHashSeedIndependence:
         }
         # fast and reference pipelines agree on the profile itself
         assert payload["profile_fast"] == payload["profile_reference"]
+
+    def test_campaign_registry_is_hash_seed_independent(self, tmp_path):
+        registries = []
+        for seed in ("0", "1"):
+            root = tmp_path / f"registry-{seed}"
+            run_with_hash_seed(seed, CAMPAIGN, str(root))
+            registries.append(registry_files(root))
+        assert sum(name.endswith("checkpoint.json") for name in registries[0]) == 5
+        assert registries[0] == registries[1]
