@@ -189,6 +189,14 @@ class ReferenceEvaluator(Evaluator):
         # Pre-PR repair probes priced the candidate in full.
         return self.subgraph_cost(members, memory).feasible
 
+    def prime_summaries(
+        self,
+        populations: Sequence[Sequence[frozenset[str]]],
+        memories: MemoryConfig | Sequence[MemoryConfig] | None = None,
+    ) -> int:
+        # Pre-PR search loops priced genome by genome.
+        return 0
+
     def summarize(
         self,
         subgraph_sets: Sequence[frozenset[str]],

@@ -2,9 +2,11 @@
 
 The incremental path must (a) price a child genome by re-pricing only
 the subgraphs that differ from already-seen genomes, (b) produce
-objective values bit-identical to from-scratch evaluation and to the
-retained reference pipeline, and (c) compose with parallel workers
-(including warm-state sharing) without changing any result.
+objective values bit-identical to the retained per-genome reference
+pipeline (:class:`~repro.cost.reference.ReferenceEvaluator`: full
+pricing on repair probes, a complete ``PartitionCost`` per genome), and
+(c) compose with parallel workers (including warm-state sharing)
+without changing any result.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ from repro.graphs.zoo import get_model
 from repro.parallel.backend import ProcessPoolBackend, SerialBackend
 
 
-def make_problem(incremental: bool = True, model: str = "googlenet",
-                 evaluator_cls=Evaluator) -> OptimizationProblem:
+def make_problem(
+    evaluator_cls=Evaluator, model: str = "googlenet"
+) -> OptimizationProblem:
     graph = get_model(model)
     return OptimizationProblem(
         evaluator=evaluator_cls(graph, paper_accelerator()),
         metric=Metric.EMA,
         alpha=None,
         fixed_memory=paper_memory(),
-        incremental=incremental,
     )
 
 
@@ -72,19 +74,20 @@ class TestIncrementalIdentity:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_incremental_matches_from_scratch(self, seed):
         rng = random.Random(seed)
-        incremental, scratch = make_problem(True), make_problem(False)
+        fast = make_problem()
+        reference = make_problem(ReferenceEvaluator)
         for _ in range(6):
-            genome = incremental.repair(
+            genome = fast.repair(
                 Genome(
-                    partition=incremental.random_genome(rng).partition,
+                    partition=fast.random_genome(rng).partition,
                     memory=paper_memory(),
                 )
             )
-            assert incremental.cost(genome) == scratch.cost(genome)
+            assert fast.cost(genome) == reference.cost(genome)
 
     def test_mutation_chain_matches_reference_pipeline(self):
-        fast = make_problem(True)
-        reference = make_problem(False, evaluator_cls=ReferenceEvaluator)
+        fast = make_problem()
+        reference = make_problem(ReferenceEvaluator)
         rng_a, rng_b = random.Random(3), random.Random(3)
         genome_a = fast.random_genome(rng_a)
         genome_b = reference.random_genome(rng_b)
@@ -100,51 +103,37 @@ class TestIncrementalIdentity:
 
 
 class TestEngineDefaults:
-    def test_incremental_on_by_default(self):
-        problem = make_problem(False)
-        engine = GeneticEngine(problem, GAConfig(population_size=4, generations=1))
-        assert engine.config.incremental is True
-        assert problem.incremental is True  # engine propagates its config
-
-    def test_nsga_config_default(self):
-        from repro.dse.nsga import NSGAConfig
-
-        assert NSGAConfig().incremental is True
-
     def test_ga_identical_incremental_on_off(self):
-        def run(incremental):
-            problem = make_problem(incremental)
-            config = GAConfig(
-                population_size=10, generations=3, seed=5,
-                incremental=incremental,
-            )
+        def run(evaluator_cls):
+            problem = make_problem(evaluator_cls)
+            config = GAConfig(population_size=10, generations=3, seed=5)
             return GeneticEngine(problem, config).run()
 
-        on, off = run(True), run(False)
-        assert on.best_cost == off.best_cost
-        assert on.history == off.history
-        assert on.best_genome.key() == off.best_genome.key()
-        assert on.num_evaluations == off.num_evaluations
+        fast, reference = run(Evaluator), run(ReferenceEvaluator)
+        assert fast.best_cost == reference.best_cost
+        assert fast.history == reference.history
+        assert fast.best_genome.key() == reference.best_genome.key()
+        assert fast.num_evaluations == reference.num_evaluations
 
 
 class TestParallelComposition:
     def test_parallel_incremental_identical_to_serial(self):
         def run(backend):
-            problem = make_problem(True)
+            problem = make_problem()
             config = GAConfig(population_size=12, generations=2, seed=2)
             return GeneticEngine(problem, config, backend=backend).run()
 
         with SerialBackend() as serial_backend:
             serial = run(serial_backend)
-        with ProcessPoolBackend(workers=2, share_warm_state=True) as pool:
+        with ProcessPoolBackend(workers=2) as pool:
             parallel = run(pool)
         assert serial.best_cost == parallel.best_cost
         assert serial.history == parallel.history
         assert serial.num_evaluations == parallel.num_evaluations
 
     def test_warm_state_absorption_skips_pricing(self):
-        donor = make_problem(True)
-        receiver = make_problem(True)
+        donor = make_problem()
+        receiver = make_problem()
         rng = random.Random(4)
         genome = donor.random_genome(rng)
         donor.evaluator.enable_summary_log()
@@ -159,7 +148,7 @@ class TestParallelComposition:
         assert receiver.cost(genome) == donor.cost(genome)
 
     def test_drain_clears_log(self):
-        problem = make_problem(True)
+        problem = make_problem()
         problem.evaluator.enable_summary_log()
         problem.cost(problem.random_genome(random.Random(6)))
         assert problem.evaluator.drain_summary_log()
