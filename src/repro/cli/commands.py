@@ -37,51 +37,6 @@ def _metric(name: str) -> Metric:
     return Metric.EMA if name == "ema" else Metric.ENERGY
 
 
-def _timing_breakdown(evaluator: Evaluator, wall_seconds: float) -> list[str]:
-    """Per-stage timing lines for ``--profile-timings``.
-
-    The three instrumented stages are subgraph profiling, memory-dependent
-    pricing, and partition aggregation; the remainder of the wall clock is
-    search machinery (breeding, selection, repair bookkeeping) plus any
-    parallel-backend overhead. Stage times include work done in worker
-    processes (their counters are merged back after every batch).
-    """
-    timings = evaluator.timings
-    staged = sum(timings.values())
-    other = max(0.0, wall_seconds - staged)
-    lines = ["  timing breakdown:"]
-    for label, key in (
-        ("profile", "profile_s"),
-        ("price", "price_s"),
-        ("batch", "batch_s"),
-        ("aggregate", "aggregate_s"),
-    ):
-        lines.append(f"    {label:<10}: {timings.get(key, 0.0):8.3f}s")
-    lines.append(f"    {'other':<10}: {other:8.3f}s (search + backend overhead)")
-    lines.append(f"    {'total':<10}: {wall_seconds:8.3f}s wall")
-    lines.append(
-        f"    profiles   : {evaluator.num_profile_calls} derived, "
-        f"{evaluator.num_cost_calls} subgraphs priced"
-    )
-    calls = evaluator.num_batch_calls
-    priced = evaluator.num_batch_priced
-    if calls:
-        seen = priced + evaluator.num_batch_hits
-        lines.append(
-            f"    batch      : {priced} keys in {calls} batches "
-            f"(avg {priced / calls:.1f}/batch), "
-            f"direct-solve {_rate(evaluator.num_batch_direct, priced)}, "
-            f"cache hits {_rate(evaluator.num_batch_hits, seen)}, "
-            f"{evaluator.num_direct_probes} analytic feasibility probes"
-        )
-    return lines
-
-
-def _rate(part: int, whole: int) -> str:
-    """``part``/``whole`` as a percentage string (``-`` for empty)."""
-    return f"{100.0 * part / whole:.1f}%" if whole else "-"
-
-
 def _accelerator(args: argparse.Namespace) -> AcceleratorConfig:
     memory = parse_memory(
         getattr(args, "glb", None),
@@ -290,16 +245,9 @@ _DSE_METHODS = ("cocco", "sa", "rs", "gs")
 
 def cmd_dse(args: argparse.Namespace) -> str:
     """``repro dse <model>`` — hardware-mapping co-exploration."""
-    import time as _time
-
-    graph = get_model(args.model)
-    profile_timings = getattr(args, "profile_timings", False)
-    evaluator = Evaluator(
-        graph, paper_accelerator(), collect_timings=profile_timings
-    )
+    evaluator = Evaluator(get_model(args.model), paper_accelerator())
     scale = SCALES[args.scale]
     workers = getattr(args, "workers", 1)
-    started = _time.perf_counter()
     space = (
         CapacitySpace.paper_shared()
         if args.mode == "shared"
@@ -341,8 +289,6 @@ def cmd_dse(args: argparse.Namespace) -> str:
         f"  subgraphs   : {cost.num_subgraphs}",
         f"  evaluations : {result.num_evaluations}",
     ]
-    if profile_timings:
-        lines.extend(_timing_breakdown(evaluator, _time.perf_counter() - started))
     return "\n".join(lines)
 
 
@@ -350,14 +296,8 @@ def cmd_pareto(args: argparse.Namespace) -> str:
     """``repro pareto <model>`` — multi-objective capacity/metric frontier."""
     from ..dse.nsga import NSGAConfig, nsga2_co_optimize
     from ..viz.charts import scatter_chart
-    import time as _time
 
-    graph = get_model(args.model)
-    profile_timings = getattr(args, "profile_timings", False)
-    evaluator = Evaluator(
-        graph, paper_accelerator(), collect_timings=profile_timings
-    )
-    started = _time.perf_counter()
+    evaluator = Evaluator(get_model(args.model), paper_accelerator())
     space = (
         CapacitySpace.paper_shared()
         if args.mode == "shared"
@@ -393,10 +333,6 @@ def cmd_pareto(args: argparse.Namespace) -> str:
         points = [(to_kb(p.capacity_bytes), p.metric_cost) for p in result.front]
         table += "\n" + scatter_chart(
             {"frontier": points}, title="capacity (KB) vs metric cost"
-        )
-    if profile_timings:
-        table += "\n" + "\n".join(
-            _timing_breakdown(evaluator, _time.perf_counter() - started)
         )
     return table
 

@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--workers", type=int, default=1,
                      help="evaluation worker processes (1 = serial; "
                           "results are identical for any value)")
-    dse.add_argument("--profile-timings", action="store_true",
-                     help="print a per-stage evaluation timing breakdown "
-                          "(profile / price / aggregate / other) after the run")
 
     pareto = sub.add_parser(
         "pareto", help="multi-objective capacity/metric frontier (NSGA-II)"
@@ -118,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.add_argument("--workers", type=int, default=1,
                         help="evaluation worker processes (1 = serial; "
                              "results are identical for any value)")
-    pareto.add_argument("--profile-timings", action="store_true",
-                        help="print a per-stage evaluation timing breakdown "
-                             "(profile / price / aggregate / other) after the run")
     pareto.add_argument("--chart", action="store_true",
                         help="ASCII scatter of the frontier")
 

@@ -26,15 +26,10 @@ layered, throughput-oriented pipeline:
 All caches are bounded LRUs so long searches stay within memory, and
 every fast path is bit-identical to the retained reference pipeline in
 :mod:`repro.cost.reference` (enforced by ``tests/cost/``).
-
-Setting ``collect_timings=True`` accumulates per-stage wall-clock
-(``profile`` / ``price`` / ``aggregate``) into :attr:`Evaluator.timings`
-for the CLI's ``--profile-timings`` report.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -145,7 +140,6 @@ class Evaluator:
         tile_candidates: tuple[int, ...] = DEFAULT_TILE_CANDIDATES,
         profile_cache_size: int = 100_000,
         cost_cache_size: int = 200_000,
-        collect_timings: bool = False,
     ) -> None:
         self.graph = graph
         self.accel = accel or AcceleratorConfig()
@@ -175,13 +169,6 @@ class Evaluator:
         self._summaries: OrderedDict[tuple, tuple] = OrderedDict()
         self._summary_log: list[tuple[tuple, tuple]] = []
         self._record_summaries = False
-        self.collect_timings = collect_timings
-        self.timings: dict[str, float] = {
-            "profile_s": 0.0,
-            "price_s": 0.0,
-            "aggregate_s": 0.0,
-            "batch_s": 0.0,
-        }
 
     # ------------------------------------------------------------------
     def _structure(self, key: frozenset[str]):
@@ -207,7 +194,6 @@ class Evaluator:
         if hit is not None:
             return hit
         self.num_profile_calls += 1
-        started = time.perf_counter() if self.collect_timings else 0.0
         profile = profile_subgraph(
             self.graph,
             key,
@@ -215,8 +201,6 @@ class Evaluator:
             tile_candidates=self.tile_candidates,
             structure=self._structure(key),
         )
-        if self.collect_timings:
-            self.timings["profile_s"] += time.perf_counter() - started
         _lru_put(self._profiles, key, profile, self._profile_cache_size)
         return profile
 
@@ -313,17 +297,7 @@ class Evaluator:
         if hit is not None:
             return hit
         self.num_cost_calls += 1
-        if self.collect_timings:
-            # The profile may be derived inside this window; subtract its
-            # time so the stage buckets stay mutually exclusive.
-            started = time.perf_counter()
-            profiled_before = self.timings["profile_s"]
-            cost = self._price(self.profile(key[0]), memory)
-            elapsed = time.perf_counter() - started
-            nested = self.timings["profile_s"] - profiled_before
-            self.timings["price_s"] += elapsed - nested
-        else:
-            cost = self._price(self.profile(key[0]), memory)
+        cost = self._price(self.profile(key[0]), memory)
         _lru_put(self._costs, key, cost, self._cost_cache_size)
         return cost
 
@@ -455,7 +429,6 @@ class Evaluator:
         """Price a whole partition, given its subgraphs in schedule order."""
         memory = memory or self.accel.memory
         costs = [self.subgraph_cost(members, memory) for members in subgraph_sets]
-        started = time.perf_counter() if self.collect_timings else 0.0
         feasible = True
         ema_total = 0
         energy_total = 0.0
@@ -480,7 +453,7 @@ class Evaluator:
             weight_ema_bytes=weight_ema_bytes,
             compute_seconds=compute_seconds,
         )
-        result = PartitionCost(
+        return PartitionCost(
             feasible=feasible,
             num_subgraphs=len(costs),
             ema_bytes=float(ema_total),
@@ -489,9 +462,6 @@ class Evaluator:
             bandwidth=bandwidth,
             subgraphs=tuple(costs),
         )
-        if self.collect_timings:
-            self.timings["aggregate_s"] += time.perf_counter() - started
-        return result
 
     # ------------------------------------------------------------------
     # Incremental (delta) evaluation: per-subgraph scalar aggregates.
@@ -534,14 +504,6 @@ class Evaluator:
         """
         memory = memory or self.accel.memory
         mem_key = _memory_key(memory)
-        timed = self.collect_timings
-        if timed:
-            # Cold subgraphs profile and price inside this window; count
-            # only the aggregation itself (buckets stay exclusive).
-            started = time.perf_counter()
-            nested_before = (
-                self.timings["profile_s"] + self.timings["price_s"]
-            )
         feasible = True
         ema_total = 0
         energy_total = 0.0
@@ -554,20 +516,13 @@ class Evaluator:
             ema_total += ema
             energy_total += energy_pj
             latency_total += latency
-        result = PartitionSummary(
+        return PartitionSummary(
             feasible=feasible,
             num_subgraphs=len(subgraph_sets),
             ema_bytes=float(ema_total),
             energy_pj=energy_total,
             latency_cycles=latency_total,
         )
-        if timed:
-            elapsed = time.perf_counter() - started
-            nested = (
-                self.timings["profile_s"] + self.timings["price_s"]
-            ) - nested_before
-            self.timings["aggregate_s"] += elapsed - nested
-        return result
 
     # ------------------------------------------------------------------
     # Population-level batch pricing (tensorized; bit-identical).
@@ -623,12 +578,6 @@ class Evaluator:
         if not order:
             return 0
         self.num_batch_calls += 1
-        timed = self.collect_timings
-        if timed:
-            # Serially-repriced keys bill their own profile/price
-            # buckets inside this window; count only the batch work.
-            started = time.perf_counter()
-            nested_before = self.timings["profile_s"] + self.timings["price_s"]
         from .batch import price_population
 
         cold = [key for key in order if key[0] not in self._profiles]
@@ -641,12 +590,6 @@ class Evaluator:
                     self._store_summary(key, summary)
                 else:
                     self._subgraph_summary(key[0], mem_of[key[1]], key[1])
-        if timed:
-            elapsed = time.perf_counter() - started
-            nested = (
-                self.timings["profile_s"] + self.timings["price_s"]
-            ) - nested_before
-            self.timings["batch_s"] += elapsed - nested
         return len(order)
 
     def summarize_population(
@@ -698,9 +641,9 @@ class Evaluator:
         """Every cached subgraph summary, oldest first (for persistence)."""
         return list(self._summaries.items())
 
-    def stats(self) -> dict[str, float]:
-        """Cache/timing counters (mergeable across worker processes)."""
-        out: dict[str, float] = {
+    def stats(self) -> dict[str, int]:
+        """Cache counters (mergeable across worker processes)."""
+        return {
             "profile_calls": self.num_profile_calls,
             "cost_calls": self.num_cost_calls,
             "direct_probes": self.num_direct_probes,
@@ -709,10 +652,8 @@ class Evaluator:
             "batch_direct": self.num_batch_direct,
             "batch_hits": self.num_batch_hits,
         }
-        out.update(self.timings)
-        return out
 
-    def absorb_stats(self, delta: dict[str, float]) -> None:
+    def absorb_stats(self, delta: dict[str, int]) -> None:
         """Fold worker counter deltas back into this evaluator."""
         self.num_profile_calls += int(delta.get("profile_calls", 0))
         self.num_cost_calls += int(delta.get("cost_calls", 0))
@@ -721,5 +662,3 @@ class Evaluator:
         self.num_batch_priced += int(delta.get("batch_priced", 0))
         self.num_batch_direct += int(delta.get("batch_direct", 0))
         self.num_batch_hits += int(delta.get("batch_hits", 0))
-        for key in self.timings:
-            self.timings[key] += delta.get(key, 0.0)

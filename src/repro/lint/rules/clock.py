@@ -13,8 +13,9 @@ defaulting to ``time.time`` and *call the parameter*. Referencing
 flags only **calls**.
 
 ``time.perf_counter``/``process_time`` are deliberately exempt: they
-are relative duration probes used by the evaluator's opt-in timing
-telemetry (``collect_timings``) and never feed result data.
+are relative duration probes. The timing spans of :mod:`repro.obs.spans`
+(``obs.span``) read ``perf_counter`` for their durations, which go only
+to the write-only telemetry stream and never feed result data.
 """
 
 from __future__ import annotations

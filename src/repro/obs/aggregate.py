@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterator
 
 from ..runs.registry import RunRegistry
@@ -31,30 +30,16 @@ from ..viz.campaign import CellStatus, campaign_snapshot
 from .events import TELEMETRY_FILENAME, Clock
 
 
-def iter_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield every complete JSON object line of a ``.jsonl`` stream.
-
-    The whole-file counterpart of :func:`repro.viz.campaign.tail_jsonl`,
-    with the same hardening against the append-writers' one designed
-    failure mode (a writer killed mid-append): a final line without a
-    trailing newline is torn and skipped — even when its visible prefix
-    happens to parse — and non-object lines are ignored. A missing file
-    yields nothing.
-    """
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return
-    yield from iter_jsonl_text(data.decode("utf-8", errors="replace"))
-
-
 def iter_jsonl_text(text: str | None) -> Iterator[dict]:
-    """:func:`iter_jsonl` over already-loaded stream text.
+    """Yield every complete JSON object line of a ``.jsonl`` stream body.
 
     Registry transports return stream bodies as text (``None`` when the
-    key is missing); the same torn-tail and non-object hardening
-    applies.
+    key is missing, which yields nothing). The reader is hardened against
+    the append-writers' one designed failure mode, a writer killed
+    mid-append: a final line without a trailing newline is torn and
+    skipped — even when its visible prefix happens to parse — and
+    non-object lines are ignored. :func:`repro.viz.campaign.tail_jsonl_node`
+    is the last-record counterpart.
     """
     if not text:
         return
@@ -105,13 +90,6 @@ class CellSeries:
             if isinstance(point.evaluations, int):
                 return point.evaluations
         return None
-
-
-def cell_series(cell_id: str, history_path: str | Path) -> CellSeries:
-    """Decode one cell's full history stream into a series."""
-    return cell_series_text(
-        cell_id, Path(history_path).read_text() if Path(history_path).is_file() else None
-    )
 
 
 def cell_series_text(cell_id: str, history_text: str | None) -> CellSeries:

@@ -5,8 +5,8 @@ One :class:`TelemetrySink` owns one stream (normally a cell's
 object line carrying the schema version, a wall-clock timestamp from
 the sink's *injectable* clock, and an event ``kind``; each line is one
 ``write`` + ``flush``, so a SIGKILL leaves at most one torn final line
-— which every reader (:func:`repro.obs.aggregate.iter_jsonl`,
-:func:`repro.viz.campaign.tail_jsonl`) skips by design.
+— which every reader (:func:`repro.obs.aggregate.iter_jsonl_text`,
+:func:`repro.viz.campaign.tail_jsonl_node`) skips by design.
 
 Emission is routed through a :mod:`contextvars` variable rather than
 threaded parameters: :func:`activate` installs a sink for a scope, and

@@ -17,10 +17,11 @@ Tasks optionally expose duck-typed protocols the backend layer uses:
   through :meth:`~repro.cost.evaluator.Evaluator.prime_summaries`
   (shape-class tensor batching + closed-form direct solves). A pure
   cache fill — per-item results are bit-identical with or without it.
-* ``stats()`` / ``absorb_stats()`` — cache counters and stage timings,
-  merged back into the parent after every map so
-  ``num_profile_calls`` / ``num_cost_calls`` / ``timings`` reflect the
-  whole run's work no matter where it executed.
+* ``stats()`` / ``absorb_stats()`` — cache counters only (profile,
+  cost, probe and batch-pricing counts), merged back into the parent
+  after every map so ``num_profile_calls`` / ``num_cost_calls`` and the
+  batch counters reflect the whole run's work no matter where it
+  executed. Time is measured by spans (:mod:`repro.obs`), not here.
 * ``enable_warm()`` / ``drain_warm()`` / ``absorb_warm()`` — cache-warm
   state: compact per-subgraph summary scalars freshly computed by one
   process, shipped to the others so no subgraph is priced twice across
@@ -46,10 +47,10 @@ class _EvaluatorStatsMixin:
         """Batch-price a chunk's unseen subgraphs before per-genome calls."""
         self.problem.prime(list(genomes))
 
-    def stats(self) -> dict[str, float]:
+    def stats(self) -> dict[str, int]:
         return self.problem.evaluator.stats()
 
-    def absorb_stats(self, delta: dict[str, float]) -> None:
+    def absorb_stats(self, delta: dict[str, int]) -> None:
         self.problem.evaluator.absorb_stats(delta)
 
     # Warm-state protocol (see repro.parallel.backend).

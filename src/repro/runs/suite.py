@@ -10,10 +10,11 @@ RunRegistry`:
   :mod:`repro.runs.seeds` — so matrix edits never shift another cell's
   random stream;
 * cells shard across the existing evaluation backends
-  (:func:`~repro.parallel.backend.resolve_backend`), each worker
-  reusing warm per-graph evaluator summaries across the cells it runs
-  (and shipping them to its peers through the backend's warm-state
-  protocol — a pure exchange of already-computed values);
+  (:func:`~repro.parallel.backend.resolve_backend`); every cell
+  warm-starts from the registry's per-(network, element width) warm
+  summary file and extends it when it finishes, so a summary priced by
+  any cell reaches every later cell on any worker (a pure reuse of
+  already-computed values);
 * a completed cell writes ``result.json`` atomically, so a restarted
   campaign re-runs only incomplete cells, and the merged report of a
   killed-and-resumed campaign is bit-identical to an uninterrupted one;
@@ -164,9 +165,9 @@ class SuiteMatrix:
     def cells(self) -> list[SuiteCell]:
         """Expand the matrix, network-major.
 
-        Network-major order keeps same-graph cells adjacent, so backend
-        chunking tends to hand them to the same worker and the warm
-        evaluator summaries actually get reused.
+        Network-major order keeps same-graph cells adjacent, so
+        consecutive cells warm-start from the same registry warm
+        summary file.
         """
         return [
             SuiteCell(
@@ -664,20 +665,16 @@ def _execute_cell(
 
 
 # ---------------------------------------------------------------------------
-# The sharded task (one instance per worker; warm state accumulates)
+# The sharded task (one picklable instance per worker)
 # ---------------------------------------------------------------------------
 class SuiteCellTask:
-    """Picklable cell executor with cross-cell warm-summary reuse.
+    """Picklable cell executor for the evaluation backends.
 
-    Each worker process holds one instance for the campaign's lifetime.
-    Per ``(network, bytes_per_element)`` graph key it keeps the
-    subgraph-summary scalars produced by every cell it ran; the next
-    cell on the same graph absorbs them before searching, so shared
-    subgraphs are priced once per worker rather than once per cell.
-    Through the backend's warm-state protocol (``enable_warm`` /
-    ``drain_warm`` / ``absorb_warm``) the entries also ship to the other
-    workers between map rounds. Purely an exchange of already-computed
-    values — cell results are bit-identical with or without it.
+    Holds only the campaign's matrix, registry root and per-cell
+    evaluation fan-out. Cross-cell summary reuse goes through the
+    registry's warm summary file alone: :func:`run_cell` absorbs it
+    before every search and extends it after, so a cell run by any
+    worker warm-starts from every cell finished before it.
     """
 
     def __init__(
@@ -689,26 +686,7 @@ class SuiteCellTask:
         self.matrix = matrix
         self.registry_root = str(registry_root)
         self.eval_workers = eval_workers
-        self._stores: dict[tuple, dict] = {}
-        self._outbox: list[tuple] = []
-        self._warm_enabled = False
 
-    # Warm-state protocol (see repro.parallel.backend).
-    def enable_warm(self) -> None:
-        self._warm_enabled = True
-
-    def drain_warm(self) -> list[tuple]:
-        out = self._outbox
-        self._outbox = []
-        return out
-
-    def absorb_warm(self, entries) -> None:
-        for (graph_key, summary_key), summary in entries:
-            self._stores.setdefault(graph_key, {}).setdefault(
-                summary_key, summary
-            )
-
-    # ------------------------------------------------------------------
     def __call__(
         self, item: "SuiteCell | tuple[SuiteCell, int | None]"
     ) -> dict[str, Any]:
@@ -729,39 +707,22 @@ class SuiteCellTask:
         seed = cell.seed(self.matrix.seed)
         if registry.is_complete(config, seed):
             return registry.load(config, seed).load_result()
-
-        graph_key = (cell.network, cell.bytes_per_element)
-        store = self._stores.setdefault(graph_key, {})
-        evaluator: Evaluator | None = None
         try:
-            evaluator = Evaluator(
-                get_model(cell.network), cell_accelerator(cell)
-            )
-            if store:
-                evaluator.absorb_summaries(store.items())
-            evaluator.enable_summary_log()
-            row = run_cell(
-                cell, self.matrix.seed, registry, evaluator=evaluator,
-                sample_cap=sample_cap, eval_workers=self.eval_workers,
+            return run_cell(
+                cell,
+                self.matrix.seed,
+                registry,
+                sample_cap=sample_cap,
+                eval_workers=self.eval_workers,
             )
         except ReproError as exc:
             registry.open_run(config, seed).record_error(str(exc))
-            row = {
+            return {
                 **config,
                 "seed": seed,
                 "status": "failed",
                 "error": str(exc),
             }
-        finally:
-            if evaluator is not None:
-                for summary_key, summary in evaluator.drain_summary_log():
-                    if summary_key not in store:
-                        store[summary_key] = summary
-                        if self._warm_enabled:
-                            self._outbox.append(
-                                ((graph_key, summary_key), summary)
-                            )
-        return row
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..experiments.reporting import format_table
 from ..runs.registry import RunRegistry
@@ -24,38 +23,12 @@ from ..runs.registry import RunRegistry
 _TAIL_BYTES = 4096
 
 
-def tail_jsonl(path: str | Path) -> dict | None:
-    """The last complete JSON object of a ``.jsonl`` file, or ``None``.
-
-    Reads only the final block of the file, and is hardened against the
-    stream writers' designed failure mode — a writer killed mid-append:
-
-    * every complete record ends with a newline (writers emit line +
-      ``"\\n"`` in one write), so a final line *without* one is torn and
-      is skipped outright — even when its visible text happens to parse
-      (a record truncated inside a number parses as a bare scalar);
-    * only JSON *objects* are returned: the seek can land mid-line, and
-      a line suffix that parses as a scalar is chunk-boundary garbage,
-      not a record.
-    """
-    path = Path(path)
-    try:
-        size = path.stat().st_size
-    except FileNotFoundError:
-        return None
-    if size == 0:
-        return None
-    with path.open("rb") as fh:
-        fh.seek(max(0, size - _TAIL_BYTES))
-        chunk = fh.read().decode("utf-8", errors="replace")
-    return _last_object(chunk)
-
-
 def tail_jsonl_node(node, filename: str) -> dict | None:
-    """:func:`tail_jsonl` over a registry transport node's stream.
+    """The last complete JSON object of a node's ``.jsonl`` stream.
 
-    Same torn-tail hardening, same only-the-final-block read (the
-    transport's ``read_tail`` maps to a ranged/suffix read).
+    Returns ``None`` when the stream is missing or holds no complete
+    object. Reads only the final block (the transport's ``read_tail``
+    maps to a ranged/suffix read); :func:`_last_object` decodes it.
     """
     chunk = node.read_tail(filename, _TAIL_BYTES)
     if not chunk:
@@ -64,6 +37,19 @@ def tail_jsonl_node(node, filename: str) -> dict | None:
 
 
 def _last_object(chunk: str) -> dict | None:
+    """The last complete JSON object in the final block of a stream.
+
+    Hardened against the stream writers' designed failure mode — a
+    writer killed mid-append:
+
+    * every complete record ends with a newline (writers emit line +
+      ``"\\n"`` in one write), so a final line *without* one is torn and
+      is skipped outright — even when its visible text happens to parse
+      (a record truncated inside a number parses as a bare scalar);
+    * only JSON *objects* are returned: the tail read can land mid-line,
+      and a line suffix that parses as a scalar is block-boundary
+      garbage, not a record.
+    """
     lines = chunk.splitlines()
     if lines and not chunk.endswith("\n"):
         lines = lines[:-1]

@@ -164,7 +164,6 @@ class TestStatsPlumbing:
             "batch_direct",
             "batch_hits",
             "direct_probes",
-            "batch_s",
         ):
             assert key in stats
         assert stats["batch_priced"] > 0

@@ -18,43 +18,43 @@ from repro.obs import TELEMETRY_FILENAME
 from repro.obs.aggregate import (
     CampaignView,
     build_view,
-    cell_series,
-    iter_jsonl,
+    cell_series_text,
+    iter_jsonl_text,
 )
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import SuiteMatrix
 
 
 class TestIterJsonl:
-    def test_missing_file_yields_nothing(self, tmp_path):
-        assert list(iter_jsonl(tmp_path / "none.jsonl")) == []
+    def test_missing_file_yields_nothing(self):
+        assert list(iter_jsonl_text(None)) == []
 
     def test_reads_every_complete_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"a": 1}\n{"a": 2}\n{"a": 3}\n')
-        assert [r["a"] for r in iter_jsonl(path)] == [1, 2, 3]
+        assert [r["a"] for r in iter_jsonl_text(path.read_text())] == [1, 2, 3]
 
     def test_torn_final_line_skipped(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"a": 1}\n{"a": 2, "trunc')
-        assert [r["a"] for r in iter_jsonl(path)] == [1]
+        assert [r["a"] for r in iter_jsonl_text(path.read_text())] == [1]
 
     def test_torn_line_parsing_as_scalar_skipped(self, tmp_path):
         # A record truncated inside a numeric field parses as a bare
         # scalar; it must not surface as a record.
         path = tmp_path / "s.jsonl"
         path.write_text('{"a": 1}\n42')
-        assert [r["a"] for r in iter_jsonl(path)] == [1]
+        assert [r["a"] for r in iter_jsonl_text(path.read_text())] == [1]
 
     def test_non_object_lines_skipped(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('[1, 2]\n"text"\n{"a": 1}\n')
-        assert list(iter_jsonl(path)) == [{"a": 1}]
+        assert list(iter_jsonl_text(path.read_text())) == [{"a": 1}]
 
     def test_garbage_interleaved_lines_skipped(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"a": 1}\nnot json at all\n{"a": 2}\n')
-        assert [r["a"] for r in iter_jsonl(path)] == [1, 2]
+        assert [r["a"] for r in iter_jsonl_text(path.read_text())] == [1, 2]
 
 
 class TestCellSeries:
@@ -64,7 +64,7 @@ class TestCellSeries:
             '{"generation": 0, "evaluations": 8, "best_cost": 9.0}\n'
             '{"generation": 1, "evaluations": 16, "best_cost": 5.0}\n'
         )
-        series = cell_series("c", path)
+        series = cell_series_text("c", path.read_text())
         assert [p.progress for p in series.points] == [0, 1]
         assert series.best_cost == 5.0
         assert series.evaluations == 16
@@ -74,11 +74,11 @@ class TestCellSeries:
         steps.write_text('{"step": 25, "evaluations": 26, "best_cost": 3.0}\n')
         ticks = tmp_path / "ticks.jsonl"
         ticks.write_text('{"tick": 4, "evaluations": 10, "best_cost": 2.0}\n')
-        assert cell_series("s", steps).points[0].progress == 25
-        assert cell_series("t", ticks).points[0].progress == 4
+        assert cell_series_text("s", steps.read_text()).points[0].progress == 25
+        assert cell_series_text("t", ticks.read_text()).points[0].progress == 4
 
-    def test_empty_series(self, tmp_path):
-        series = cell_series("c", tmp_path / "none.jsonl")
+    def test_empty_series(self):
+        series = cell_series_text("c", None)
         assert series.points == ()
         assert series.best_cost is None
         assert series.evaluations is None

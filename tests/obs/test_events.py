@@ -11,7 +11,11 @@ from repro.obs import (
     current_sink,
     emit,
 )
-from repro.obs.aggregate import iter_jsonl
+from repro.obs.aggregate import iter_jsonl_text
+
+
+def records(path):
+    return list(iter_jsonl_text(path.read_text()))
 
 
 class TestSink:
@@ -19,7 +23,7 @@ class TestSink:
         sink = TelemetrySink(tmp_path / "t.jsonl", clock=lambda: 123.5)
         sink.emit("cell.start", cell="c1", seed=7)
         sink.close()
-        [record] = iter_jsonl(tmp_path / "t.jsonl")
+        [record] = records(tmp_path / "t.jsonl")
         assert record == {
             "v": TELEMETRY_VERSION,
             "ts": 123.5,
@@ -34,13 +38,13 @@ class TestSink:
             sink.emit("a")
         with TelemetrySink(path, clock=lambda: 2.0) as sink:
             sink.emit("b")
-        assert [r["kind"] for r in iter_jsonl(path)] == ["a", "b"]
+        assert [r["kind"] for r in records(path)] == ["a", "b"]
 
     def test_nonfinite_floats_become_null(self, tmp_path):
         sink = TelemetrySink(tmp_path / "t.jsonl", clock=lambda: 0.0)
         sink.emit("x", cost=float("inf"), nested={"n": float("nan")})
         sink.close()
-        [record] = iter_jsonl(tmp_path / "t.jsonl")
+        [record] = records(tmp_path / "t.jsonl")
         assert record["cost"] is None
         assert record["nested"] == {"n": None}
 
@@ -74,9 +78,7 @@ class TestActivation:
         assert current_sink() is None
         emit("outside")
         sink.close()
-        assert [r["kind"] for r in iter_jsonl(tmp_path / "t.jsonl")] == [
-            "inside"
-        ]
+        assert [r["kind"] for r in records(tmp_path / "t.jsonl")] == ["inside"]
 
     def test_activate_nests_and_restores(self, tmp_path):
         outer = TelemetrySink(tmp_path / "outer.jsonl", clock=lambda: 0.0)
@@ -87,12 +89,8 @@ class TestActivation:
             emit("shallow")
         outer.close()
         inner.close()
-        assert [r["kind"] for r in iter_jsonl(tmp_path / "inner.jsonl")] == [
-            "deep"
-        ]
-        assert [r["kind"] for r in iter_jsonl(tmp_path / "outer.jsonl")] == [
-            "shallow"
-        ]
+        assert [r["kind"] for r in records(tmp_path / "inner.jsonl")] == ["deep"]
+        assert [r["kind"] for r in records(tmp_path / "outer.jsonl")] == ["shallow"]
 
     def test_activate_none_silences_an_active_sink(self, tmp_path):
         sink = TelemetrySink(tmp_path / "t.jsonl", clock=lambda: 0.0)
@@ -101,9 +99,7 @@ class TestActivation:
                 emit("silenced")
             emit("kept")
         sink.close()
-        assert [r["kind"] for r in iter_jsonl(tmp_path / "t.jsonl")] == [
-            "kept"
-        ]
+        assert [r["kind"] for r in records(tmp_path / "t.jsonl")] == ["kept"]
 
     def test_restores_on_exception(self, tmp_path):
         sink = TelemetrySink(tmp_path / "t.jsonl", clock=lambda: 0.0)
@@ -124,8 +120,7 @@ class TestTornTail:
         # Simulate a writer SIGKILLed mid-append.
         with path.open("a") as fh:
             fh.write('{"v": 1, "kind": "torn", "ts": 9')
-        records = list(iter_jsonl(path))
-        assert [r["kind"] for r in records] == ["whole"]
+        assert [r["kind"] for r in records(path)] == ["whole"]
 
     def test_records_are_line_delimited_json(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import TelemetrySink, activate, span, span_stack
-from repro.obs.aggregate import iter_jsonl
+from repro.obs.aggregate import iter_jsonl_text
 
 
 def drain(path):
-    return list(iter_jsonl(path))
+    return list(iter_jsonl_text(path.read_text()))
 
 
 class TestSpan:

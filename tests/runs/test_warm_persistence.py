@@ -17,7 +17,7 @@ from repro.experiments.common import paper_accelerator
 from repro.graphs.zoo import get_model
 from repro.partition.random_init import random_partition
 from repro.runs.registry import RunRegistry
-from repro.runs.suite import SuiteCell, run_cell
+from repro.runs.suite import SuiteCell, SuiteCellTask, SuiteMatrix, run_cell
 
 
 def _entries():
@@ -135,3 +135,31 @@ class TestRunCellWarmStart:
         assert other["status"] == "complete"
         warmed = run_cell(self.CELL, 0, warm_registry)
         assert warmed == cold
+
+
+class TestSingleWarmChannel:
+    """The registry warm file is the only cross-cell summary channel."""
+
+    def test_cell_task_absorbs_nothing_without_the_warm_file(
+        self, tmp_path, monkeypatch
+    ):
+        matrix = SuiteMatrix(
+            networks=("vgg16",), alphas=(0.002, 0.004), scale="tiny"
+        )
+        first, second = matrix.cells()
+        registry = RunRegistry(tmp_path / "reg")
+        task = SuiteCellTask(matrix, registry.root)
+        assert task(first)["status"] == "complete"
+        registry.warm_summary_path("vgg16", 1).unlink()
+
+        absorbed: list[tuple] = []
+        original = Evaluator.absorb_summaries
+
+        def spy(self, entries):
+            entries = list(entries)
+            absorbed.extend(entries)
+            original(self, entries)
+
+        monkeypatch.setattr(Evaluator, "absorb_summaries", spy)
+        assert task(second)["status"] == "complete"
+        assert absorbed == []

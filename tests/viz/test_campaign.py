@@ -8,7 +8,8 @@ import time
 from repro.distrib.lease import try_acquire_lease
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import SuiteMatrix, run_cell, run_suite
-from repro.viz.campaign import campaign_snapshot, render_campaign, tail_jsonl
+from repro.runs.transport import FsTransport, RunNode
+from repro.viz.campaign import campaign_snapshot, render_campaign, tail_jsonl_node
 
 
 MATRIX = SuiteMatrix(
@@ -16,26 +17,31 @@ MATRIX = SuiteMatrix(
 )
 
 
+def tail(tmp_path, filename="h.jsonl"):
+    """The last record of ``tmp_path/filename`` through an fs transport node."""
+    return tail_jsonl_node(RunNode(FsTransport(tmp_path)), filename)
+
+
 class TestTailJsonl:
     def test_missing_file(self, tmp_path):
-        assert tail_jsonl(tmp_path / "none.jsonl") is None
+        assert tail(tmp_path, "none.jsonl") is None
 
     def test_last_line_wins(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text('{"generation": 0}\n{"generation": 7}\n')
-        assert tail_jsonl(path) == {"generation": 7}
+        assert tail(tmp_path) == {"generation": 7}
 
     def test_torn_final_line_falls_back(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text('{"generation": 3}\n{"generation": 4, "trunc')
-        assert tail_jsonl(path) == {"generation": 3}
+        assert tail(tmp_path) == {"generation": 3}
 
     def test_long_file_reads_only_tail(self, tmp_path):
         path = tmp_path / "h.jsonl"
         with path.open("w") as fh:
             for i in range(5000):
                 fh.write(json.dumps({"generation": i}) + "\n")
-        assert tail_jsonl(path) == {"generation": 4999}
+        assert tail(tmp_path) == {"generation": 4999}
 
     def test_torn_line_parsing_as_scalar_is_skipped(self, tmp_path):
         # A record truncated inside a numeric field still parses — as a
@@ -43,24 +49,24 @@ class TestTailJsonl:
         # non-dict return crashed the snapshot's .get() calls).
         path = tmp_path / "h.jsonl"
         path.write_text('{"generation": 3}\n{"best_cost": 17')
-        assert tail_jsonl(path) == {"generation": 3}
+        assert tail(tmp_path) == {"generation": 3}
 
     def test_unterminated_final_line_never_wins(self, tmp_path):
         # Writers emit line+"\n" in one write, so a final line without
         # the newline is torn even when its text parses as an object.
         path = tmp_path / "h.jsonl"
         path.write_text('{"generation": 3}\n{"generation": 4}')
-        assert tail_jsonl(path) == {"generation": 3}
+        assert tail(tmp_path) == {"generation": 3}
 
     def test_complete_scalar_line_is_skipped(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text('{"generation": 3}\n42\n')
-        assert tail_jsonl(path) == {"generation": 3}
+        assert tail(tmp_path) == {"generation": 3}
 
     def test_all_torn_returns_none(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text('{"generation": 0')
-        assert tail_jsonl(path) is None
+        assert tail(tmp_path) is None
 
 
 class TestSnapshot:
